@@ -4,11 +4,12 @@
 simulations and measures, per cell:
 
 - **wall-clock seconds** (best of N repeats — the headline metric);
-- **events/sec** (heap events processed per wall-clock second, when the
-  engine exposes :attr:`Environment.events_processed`);
-- **simulated observables** (makespan, tasks executed, total steals) —
-  these are deterministic and double as a drift guard: a kernel change
-  that alters them is a correctness bug, not a perf difference;
+- **events/sec** (heap events processed per wall-clock second, from
+  :attr:`Environment.events_processed`);
+- **simulated observables** (makespan, tasks executed, total steals)
+  and the **event count** — these are deterministic and double as a
+  drift guard: a kernel change that alters them is a correctness bug,
+  not a perf difference;
 - **peak RSS** (``ru_maxrss``; process-lifetime monotone, so later cells
   report the running maximum).
 
@@ -29,7 +30,7 @@ from __future__ import annotations
 import json
 import resource
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 SCHEMA_VERSION = 1
 
@@ -162,7 +163,7 @@ def run_cell(cell: Dict, repeats: int = 3) -> Dict:
         return run_spin_cell(cell, repeats=repeats)
 
     walls: List[float] = []
-    events: Optional[int] = None
+    events = 0
     sim: Dict[str, object] = {}
     for _ in range(max(1, repeats)):
         _reset_task_ids()
@@ -176,14 +177,14 @@ def run_cell(cell: Dict, repeats: int = 3) -> Dict:
         t0 = time.perf_counter()
         stats = app.run(rt, validate=False)
         walls.append(time.perf_counter() - t0)
-        events = getattr(rt.env, "events_processed", None)
+        events = rt.env.events_processed
         sim = {
             "makespan_cycles": stats.makespan_cycles,
             "tasks_executed": stats.tasks_executed,
             "total_steals": stats.steals.total_steals,
         }
     best = min(walls)
-    out: Dict[str, object] = {
+    return {
         "cell": cell_key(cell),
         "config": dict(cell),
         "repeats": len(walls),
@@ -191,11 +192,9 @@ def run_cell(cell: Dict, repeats: int = 3) -> Dict:
         "best_wall_seconds": round(best, 6),
         "simulated": sim,
         "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+        "events_processed": events,
+        "events_per_sec": round(events / best, 1),
     }
-    if events is not None:
-        out["events_processed"] = events
-        out["events_per_sec"] = round(events / best, 1)
-    return out
 
 
 def profile_cell(cell: Dict, top_n: int = 25) -> str:
@@ -230,10 +229,8 @@ def profile_cell(cell: Dict, top_n: int = 25) -> str:
     buf = io.StringIO()
     stats = pstats.Stats(prof, stream=buf)
     stats.sort_stats("tottime").print_stats(top_n)
-    events = getattr(rt.env, "events_processed", None)
-    head = f"=== profile: {cell_key(cell)}"
-    if events is not None:
-        head += f" ({events} events)"
+    head = (f"=== profile: {cell_key(cell)} "
+            f"({rt.env.events_processed} events)")
     return head + " ===\n" + buf.getvalue()
 
 
@@ -260,8 +257,10 @@ def compare(baseline: Dict, candidate: Dict,
 
     Wall-clock is compared after normalizing by the calibration ratio
     (candidate measured on a machine 2x faster than the baseline's is
-    scaled back up 2x).  Simulated observables must match *exactly* —
-    any drift is reported as a failure regardless of the threshold.
+    scaled back up 2x).  Simulated observables and ``events_processed``
+    must match *exactly* — any drift is reported as a failure regardless
+    of the threshold: an event count that moves while the physics stay
+    put means a heap entry was skipped or double-counted.
     """
     lines: List[str] = []
     ok = True
@@ -282,6 +281,12 @@ def compare(baseline: Dict, candidate: Dict,
             ok = False
             lines.append(f"  {row['cell']}: SIMULATED METRICS DRIFTED "
                          f"{base['simulated']} -> {row['simulated']}")
+            continue
+        if row.get("events_processed") != base.get("events_processed"):
+            ok = False
+            lines.append(f"  {row['cell']}: EVENTS_PROCESSED DRIFTED "
+                         f"{base.get('events_processed')} -> "
+                         f"{row.get('events_processed')}")
             continue
         norm = row["best_wall_seconds"] * speed_ratio
         pct = 100.0 * (norm - base["best_wall_seconds"]) \

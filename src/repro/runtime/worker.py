@@ -3,8 +3,9 @@
 A worker runs an endless loop (a simulated process):
 
 1. pop the own private deque (LIFO — most recently created task first);
-2. otherwise ask the scheduler policy to find work (mailbox probe,
-   co-located steal, shared deque, distributed steal — policy-specific);
+2. otherwise probe the home mailbox and steal from a co-located worker
+   (the kernel-resident :class:`_StealScan`), then run the scheduler
+   policy's tail (shared deque, distributed steal — policy-specific);
 3. execute the task: run its Python body, price its memory behaviour,
    spawn its children, and advance simulated time by the total cost;
 4. if no work was found anywhere, record a failed round and back off
@@ -24,7 +25,6 @@ from typing import TYPE_CHECKING, Generator, Optional
 from repro.cluster.cache import LruCache
 from repro.runtime.deques import PrivateDeque
 from repro.runtime.task import Task, TaskContext, TaskState
-from repro.sim import engine as _engine
 from repro.sim.engine import (SCAN_MISS, CAUSE_WORK, Interrupt, KernelRound,
                               ParkRecord)
 from repro.sim.events import Event
@@ -37,14 +37,17 @@ if TYPE_CHECKING:  # pragma: no cover
 class _StealScan(KernelRound):
     """Kernel-resident deque-pop + mailbox + co-located-steal round.
 
-    Executes the universal prefix of ``Scheduler.find_work`` (the tiers
-    every policy shares) step by step from the dispatch loop, arming one
-    heap entry per legacy ``sleep`` with the same due time and sequence
-    number and performing the same side effects in the same order — see
-    :class:`~repro.sim.engine.KernelRound` for the byte-identity
-    contract.  Resolves with the acquired task, or with ``SCAN_MISS`` so
+    The one implementation of the round prefix every policy shares (the
+    private-deque-op stall, the own pop, the mailbox probe, the
+    co-located scan), executed step by step from the dispatch loop.  Each
+    step arms one heap entry with the due time and sequence number a
+    ``sleep`` in the worker's generator would have taken, and performs
+    its side effects — counters, RNG draws, observer events — in the
+    order a generator would; see :class:`~repro.sim.engine.KernelRound`
+    for the byte-identity contract.  Resolves with the acquired task, or with ``SCAN_MISS`` so
     the worker's generator runs the policy tail (shared deque, remote
-    steals) in ordinary yielded-event style.
+    steals) in ordinary yielded-event style.  It runs the same way with
+    or without an observer or a fault plan attached.
 
     Phases: 0 = the private-deque-op stall fired (pop own deque, probe
     the mailbox, open the co-located scan); 1 = one co-located probe
@@ -52,9 +55,13 @@ class _StealScan(KernelRound):
     steal-success stall fired (settle the stolen task); 3 = a collapsed
     round's end stall fired (idle mode: park straight from the kernel).
 
-    **Idle mode** (:meth:`attach_idle`): for a scheduler with no policy
-    tail past the co-located tier (``find_work_tail is None``), the
-    *whole* idle cycle — failed round, park, wake, next round — runs
+    During the steal-success stall the stolen task sits on
+    ``worker.pending_chunk``, so a crash of the thief's place inside the
+    stall relocates it like any queued work.
+
+    **Idle mode** (``idle=True``): for a scheduler with no policy tail
+    past the co-located tier (``find_work_tail is None``), the *whole*
+    idle cycle — failed round, park, wake, next round — runs
     kernel-resident.  A miss performs the failed-round bookkeeping and
     parks the worker without resuming the generator; the park delivers
     its wake cause to :meth:`on_wake`, which starts the next round (or a
@@ -62,39 +69,37 @@ class _StealScan(KernelRound):
     hand, or with ``None`` once the termination gate opens.
     """
 
-    __slots__ = ("worker", "st", "costs", "phase", "order", "idx",
-                 "peers", "task", "mailbox_get", "deque_pop",
-                 "idle", "park", "board", "gate", "fast_round",
-                 "gate_registered")
+    __slots__ = ("worker", "st", "costs", "obs", "phase", "order", "idx",
+                 "peers", "mailbox_get", "deque_pop", "idle", "park",
+                 "board", "gate", "fast_round", "gate_registered")
 
-    def __init__(self, env, proc, worker: "Worker") -> None:
+    def __init__(self, env, proc, worker: "Worker", park, board,
+                 fast_round, idle: bool) -> None:
         super().__init__(env, proc)
         self.worker = worker
         rt = worker.runtime
         self.st = rt.stats.steals
         self.costs = rt.costs
+        self.obs = rt.obs
         self.phase = 0
         self.order: list = []
         self.idx = 0
         self.peers: "list[Worker] | None" = None
-        self.task: Task | None = None
         self.mailbox_get = worker.place.mailbox.try_get
         self.deque_pop = worker.deque.pop
-        self.idle = False
-        self.park = None
-        self.board = None
-        self.gate = None
-        self.fast_round = None
-        self.gate_registered = False
-
-    def attach_idle(self, park, board, gate, fast_round) -> None:
-        """Enter idle mode: this scan owns the worker's park and rounds."""
-        self.idle = True
+        self.idle = idle
         self.park = park
         self.board = board
-        self.gate = gate
+        self.gate = rt.done_gate
         self.fast_round = fast_round
-        park.scan_owner = self
+        self.gate_registered = False
+        if idle:
+            park.scan_owner = self
+
+    def cancel(self) -> None:
+        """Detach (the worker's place crashed): never scan or wake again."""
+        super().cancel()
+        self.park.cancel()
 
     def begin(self) -> "_StealScan":
         """Arm the round's opening deque-op stall; yield ``self`` after."""
@@ -105,6 +110,13 @@ class _StealScan(KernelRound):
         _heappush(env._queue,
                   (env._now + self.costs.private_deque_op, env._seq, self._h))
         return self
+
+    def _emit_attempt(self) -> None:
+        worker = self.worker
+        self.obs.emit("steal_attempt", tier="local",
+                      place=worker.place.place_id,
+                      worker=worker.worker_index,
+                      victim=self.peers[self.order[self.idx]].worker_index)
 
     def step(self) -> None:
         # _arm() is inlined in every branch: this method fires hundreds of
@@ -118,7 +130,7 @@ class _StealScan(KernelRound):
             worker.overhead_cycles += costs.local_steal_attempt
             task = self.peers[self.order[self.idx]].deque.steal()
             if task is not None:
-                self.task = task
+                worker.pending_chunk.append(task)
                 self.phase = 2
                 env._seq += 1
                 env._arm[self._h] = env._seq
@@ -129,13 +141,15 @@ class _StealScan(KernelRound):
             if idx < len(self.order):
                 self.idx = idx
                 self.st.local_attempts += 1
+                if self.obs is not None:
+                    self._emit_attempt()
                 env._seq += 1
                 env._arm[self._h] = env._seq
                 _heappush(env._queue, (env._now + costs.local_steal_attempt,
                                        env._seq, self._h))
                 return
             if self.idle:
-                self._park_failed_round()
+                self.park_failed_round()
             else:
                 self._resolve(SCAN_MISS)
         elif phase == 0:
@@ -161,6 +175,8 @@ class _StealScan(KernelRound):
                         self.order = order
                         self.idx = 0
                         self.st.local_attempts += 1
+                        if self.obs is not None:
+                            self._emit_attempt()
                         self.phase = 1
                         env._seq += 1
                         env._arm[self._h] = env._seq
@@ -169,32 +185,73 @@ class _StealScan(KernelRound):
                                    env._seq, self._h))
                         return
                     if self.idle:
-                        self._park_failed_round()
+                        self.park_failed_round()
                     else:
                         self._resolve(SCAN_MISS)
                     return
                 self.st.mailbox_hits += 1
+                if self.obs is not None:
+                    self.obs.emit("mailbox_get", place=worker.place.place_id,
+                                  worker=worker.worker_index,
+                                  task=task.task_id)
             self._resolve(task)
         elif phase == 2:
             # The steal-success stall fired; settle the task.
             worker.overhead_cycles += costs.local_steal_success
             self.st.local_hits += 1
-            task = self.task
-            self.task = None
-            self._resolve(task)
+            if self.obs is not None:
+                self.obs.emit("steal_hit", tier="local",
+                              place=worker.place.place_id,
+                              worker=worker.worker_index,
+                              victim=self.peers[self.order[self.idx]]
+                              .worker_index, tasks=1)
+            # Out of pending_chunk and into execute() (which makes it the
+            # current_task) with no yield in between.
+            self._resolve(worker.pending_chunk.pop())
         else:
             # Phase 3 (idle mode): a collapsed round's end stall fired —
-            # the legacy generator would now run the failed-round path.
-            self._park_failed_round()
+            # the round failed.
+            self.park_failed_round()
+
+    def park_failed_round(self) -> None:
+        """Failed-round bookkeeping, then arm the worker's park.
+
+        Outside idle mode the worker's generator calls this and then
+        yields the park itself; in idle mode the scan calls it on a miss.
+        """
+        worker = self.worker
+        place = worker.place
+        rt = worker.runtime
+        place.note_failed_steal()
+        rt.scheduler.note_failed_round(worker)
+        self.st.failed_rounds += 1
+        if self.obs is not None:
+            self.obs.emit("worker_park", place=place.place_id,
+                          worker=worker.worker_index,
+                          backoff=worker._backoff)
+        park = self.park
+        gate = self.gate
+        park.begin(worker._backoff, gate.is_open)
+        if not self.gate_registered:
+            # The gate fires at most once (termination), so the park
+            # registers exactly once — no per-round waiter leak.
+            gate.register_park(park)
+            self.gate_registered = True
+        place.add_park_waiter(park)
+        if self.board is not None:
+            self.board.add_park_waiter(park)
+        # Backoff is read by the runtime's idle parameters live: online
+        # controllers may retune base/cap mid-run.
+        worker._backoff = min(worker._backoff * 2, rt.idle_backoff_cap)
 
     # -- kernel-resident idle loop (tail-less schedulers) ---------------------
     def begin_idle(self) -> "_StealScan":
         """Open a round in idle mode; yield ``self`` afterwards.
 
-        Mirrors the legacy loop top: a collapsible round (every tier
-        provably empty, heap quiescent) arms one stall at the round's end
-        — the seq the legacy ``sleep_at`` consumed — otherwise the
-        ordinary scan opens with the deque-op stall.
+        A collapsible round (every tier provably empty, heap quiescent)
+        arms one stall at the round's end — the seq a generator's
+        ``sleep_at`` would consume — otherwise the ordinary scan opens
+        with the deque-op stall.
         """
         fr = self.fast_round
         if fr is not None:
@@ -208,54 +265,18 @@ class _StealScan(KernelRound):
                 return self
         return self.begin()
 
-    def _park_failed_round(self) -> None:
-        """Failed-round bookkeeping + park, in the legacy generator's order."""
-        worker = self.worker
-        place = worker.place
-        rt = worker.runtime
-        place.note_failed_steal()
-        rt.scheduler.note_failed_round(worker)
-        self.st.failed_rounds += 1
-        park = self.park
-        gate = self.gate
-        park.begin(worker._backoff, gate.is_open)
-        if not self.gate_registered:
-            gate.register_park(park)
-            self.gate_registered = True
-        place.add_park_waiter(park)
-        if self.board is not None:
-            self.board.add_park_waiter(park)
-        worker._backoff = min(worker._backoff * 2, rt.idle_backoff_cap)
-
     def on_wake(self, cause) -> None:
         """The park's wake hop landed: restart the round in the kernel.
 
-        Replicates the legacy resume — backoff reset on a work wake, the
-        loop-top gate check (resolving ``None`` hands the generator its
-        exit), then the next round's fast-path probe or opening stall.
+        Backoff reset on a work wake, the loop-top gate check (resolving
+        ``None`` hands the generator its exit), then the next round.
         """
-        worker = self.worker
         if cause is CAUSE_WORK:
-            worker._backoff = worker.runtime.idle_backoff_base
+            self.worker._backoff = self.worker.runtime.idle_backoff_base
         if self.gate.is_open:
             self._resolve(None)
             return
-        fr = self.fast_round
-        if fr is not None:
-            due = fr(worker)
-            if due is not None:
-                self.phase = 3
-                env = self.env
-                env._seq += 1
-                env._arm[self._h] = env._seq
-                _heappush(env._queue, (due, env._seq, self._h))
-                return
-        self.phase = 0
-        env = self.env
-        env._seq += 1
-        env._arm[self._h] = env._seq
-        _heappush(env._queue,
-                  (env._now + self.costs.private_deque_op, env._seq, self._h))
+        self.begin_idle()
 
 
 class Worker:
@@ -276,11 +297,12 @@ class Worker:
         #: this to find in-flight work at a crash; the runtime reads it
         #: to attribute spawn parentage for the observability layer.
         self.current_task: Task | None = None
-        #: Stolen chunk in transit to this worker's place: populated from
-        #: the instant the tasks leave the victim's shared deque until
-        #: they land in the home mailbox / start executing.  The fault
-        #: injector drains it at a crash — these tasks are otherwise
-        #: invisible (neither queued nor anyone's ``current_task``).
+        #: Stolen tasks not yet runnable here: a remote chunk from the
+        #: instant it leaves the victim's shared deque until it lands in
+        #: the home mailbox / starts executing, or one co-located task
+        #: during the steal-success stall.  The fault injector drains it
+        #: at a crash — these tasks are otherwise invisible (neither
+        #: queued nor anyone's ``current_task``).
         self.pending_chunk: list[Task] = []
         #: The simulated process running :meth:`run` (set by the runtime).
         self.proc = None
@@ -350,57 +372,34 @@ class Worker:
 
     def _run_loop(self) -> Generator[Event, object, None]:
         rt = self.runtime
-        env = rt.env
-        costs = rt.costs
         place = self.place
         gate = rt.done_gate
         scheduler = rt.scheduler
-        steal_stats = rt.stats.steals
-        # Hot-loop locals: these lookups are loop-invariant, and the
-        # per-round deque-op stall is by far the most common sleep.
-        sleep = env.sleep
-        deque_pop = self.deque.pop
-        find_work = scheduler.find_work
-        deque_op = costs.private_deque_op
-        # Collapsed probe round (flat kernel only): when every steal tier
-        # is provably empty and no other heap entry comes due before the
-        # round would end, the scheduler commits the round's counters and
-        # RNG draws in one call and the kernel sleeps once to the round's
-        # end time instead of resuming this generator per probe.  Fault
-        # plans and observers watch the intermediate micro-events, so
-        # either one disables the collapse.
+        # Collapsed probe round: when every steal tier is provably empty
+        # and no other heap entry comes due before the round would end,
+        # the scheduler commits the round's counters and RNG draws in one
+        # call and the kernel sleeps once to the round's end time.  The
+        # collapse replays neither the per-probe observer events nor the
+        # remote tier's fault hooks (steal timeouts, victim blacklist), so
+        # an observer or a fault plan turns it off; the scan below runs
+        # either way.
         fast_round = None
-        sleep_at = None
-        if (_engine.KERNEL == "flat" and scheduler._fast_round_ok
-                and rt.faults is None and rt.obs is None):
-            fast_round = scheduler.fast_round
-            sleep_at = env.sleep_at
-        # Kernel-resident steal scan (flat kernel only): the universal
-        # find_work prefix — deque-op stall, own pop, mailbox probe,
-        # co-located scan — runs from the dispatch loop without resuming
-        # this generator per probe.  Only sound when the scheduler uses
-        # the stock find_work (an override may reorder the tiers), and
-        # fault plans / observers watch the per-probe resumes, so either
-        # one falls back to the generator path.
-        scan = None
-        find_work_tail = None
-        if (_engine.KERNEL == "flat" and rt.faults is None
+        if (scheduler._fast_round_ok and rt.faults is None
                 and rt.obs is None):
-            from repro.sched.base import Scheduler as _SchedulerBase
-            if type(scheduler).find_work is _SchedulerBase.find_work:
-                scan = _StealScan(env, self.proc, self)
-                find_work_tail = scheduler.find_work_tail
+            fast_round = scheduler.fast_round
+        sleep_at = rt.env.sleep_at
+        find_work_tail = scheduler.find_work_tail
         # One reusable park replaces the per-round AnyOf garbage; the
         # board a parking worker watches is fixed per policy.
-        park = ParkRecord(env, self.proc)
-        board = scheduler.park_board()
-        gate_registered = False
-        if scan is not None and find_work_tail is None:
+        park = ParkRecord(rt.env, self.proc)
+        scan = _StealScan(rt.env, self.proc, self, park,
+                          scheduler.park_board(), fast_round,
+                          idle=find_work_tail is None)
+        if find_work_tail is None:
             # No policy tier past the co-located scan: the whole idle
             # cycle — round, failed-round bookkeeping, park, wake — runs
             # kernel-resident.  The generator resumes per *task*, not per
             # round: with a task in hand, or with None at termination.
-            scan.attach_idle(park, board, gate, fast_round)
             while not gate.is_open:
                 if place.dead:
                     return
@@ -416,41 +415,16 @@ class Worker:
             if fast_round is not None and (due := fast_round(self)) is not None:
                 yield sleep_at(due)
                 task = None
-            elif scan is not None:
+            else:
                 task = yield scan.begin()
                 if task is SCAN_MISS:
-                    task = None if find_work_tail is None \
-                        else (yield from find_work_tail(self))
-            else:
-                yield sleep(deque_op)
-                self.overhead_cycles += deque_op
-                task = deque_pop()
-                if task is None:
-                    task = yield from find_work(self)
+                    task = yield from find_work_tail(self)
             if task is not None:
                 self._backoff = rt.idle_backoff_base
                 yield from self.execute(task)
                 continue
             # Nothing anywhere: failed round, then back off.
-            place.note_failed_steal()
-            scheduler.note_failed_round(self)
-            steal_stats.failed_rounds += 1
-            if rt.obs is not None:
-                rt.obs.emit("worker_park", place=place.place_id,
-                            worker=self.worker_index,
-                            backoff=self._backoff)
-            park.begin(self._backoff, gate.is_open)
-            if not gate_registered:
-                # The gate fires at most once (termination), so the park
-                # registers exactly once — no per-round waiter leak.
-                gate.register_park(park)
-                gate_registered = True
-            place.add_park_waiter(park)
-            if board is not None:
-                board.add_park_waiter(park)
-            # Backoff is read by the runtime's idle parameters live:
-            # online controllers may retune base/cap mid-run.
-            self._backoff = min(self._backoff * 2, rt.idle_backoff_cap)
+            scan.park_failed_round()
             cause = yield park
             if cause is CAUSE_WORK:
                 # Work arrived at this place: search eagerly again.

@@ -4,16 +4,22 @@ A scheduler owns two decisions:
 
 - **mapping** (:meth:`Scheduler.map_task`): which deque a freshly spawned
   task lands in (Algorithm 1 lines 1-8 for DistWS);
-- **work finding** (:meth:`Scheduler.find_work`): what an idle worker does
-  after its own private deque came up empty (Algorithm 1 lines 9-29).
+- **work finding** (Algorithm 1 lines 9-29): what an idle worker does
+  after its own private deque came up empty.
 
-``find_work`` is a *generator* run inside the worker's simulated process:
-it yields timeouts / lock acquisitions to consume simulated time and
-returns the acquired :class:`~repro.runtime.task.Task` (or ``None``).
+Every policy's steal round opens with the same tiers — probe the home
+mailbox, then steal from a co-located worker's private deque.  That
+prefix has one implementation, the worker's kernel-resident scan
+(:class:`repro.runtime.worker._StealScan`).  What follows a co-located
+miss is the policy's :attr:`Scheduler.find_work_tail`: a *generator* run
+inside the worker's simulated process that yields timeouts / lock
+acquisitions to consume simulated time and returns the acquired
+:class:`~repro.runtime.task.Task` (or ``None``).
 
-The shared machinery for the three steal tiers (mailbox probe, co-located
-victims, local shared deque, remote shared deques) lives here so concrete
-policies compose the tiers rather than re-implement them.
+The shared machinery for the later steal tiers (local shared deque,
+remote shared deques, the mailbox re-probe between remote victims) lives
+here so concrete policies compose the tiers rather than re-implement
+them.
 """
 
 from __future__ import annotations
@@ -190,38 +196,21 @@ class Scheduler(ABC):
             place.pick_private_deque().push(task)
 
     # -- work finding ------------------------------------------------------------
-    #: Policy-specific continuation of :meth:`find_work` after the
+    #: Policy-specific continuation of the steal round after the
     #: universal tiers (mailbox probe, co-located steal) have missed: a
     #: generator method, or ``None`` when the policy has no further tiers
-    #: (X10WS).  Keeping the universal prefix in one place is what lets
-    #: the flat kernel's :class:`~repro.sim.engine.KernelRound` scan
-    #: execute it without resuming the worker's generator per probe.
+    #: (X10WS).  The universal prefix runs kernel-resident in the
+    #: worker's :class:`~repro.runtime.worker._StealScan`; a ``None`` tail
+    #: lets the whole idle cycle stay in the kernel.
     find_work_tail = None
-
-    def find_work(self, worker: "Worker") -> FindWork:
-        """Acquire a task for an idle worker, consuming simulated time.
-
-        Tier 0 (home mailbox) and tier 1 (co-located private-deque steal)
-        are identical across every policy; what follows a tier-1 miss is
-        the policy's :attr:`find_work_tail`.  A policy that overrides
-        ``find_work`` itself opts out of the kernel-resident scan (the
-        worker checks ``type(scheduler).find_work`` identity).
-        """
-        task = self._probe_mailbox(worker)
-        if task is not None:
-            return task
-        task = yield from self._steal_colocated(worker)
-        if task is not None:
-            return task
-        tail = self.find_work_tail
-        if tail is None:
-            return None
-        task = yield from tail(worker)
-        return task
 
     # -- shared steal tiers -------------------------------------------------------
     def _probe_mailbox(self, worker: "Worker") -> Optional[Task]:
-        """Tier 0: take a task shipped to this place from the network."""
+        """Tier 0 re-probe: take a task shipped to this place meanwhile.
+
+        The round's opening probe runs in the worker's steal scan; the
+        remote tiers re-probe here between victims (§V-B2).
+        """
         task = worker.place.mailbox.try_get()
         if task is not None:
             self.rt.stats.steals.mailbox_hits += 1
@@ -231,43 +220,6 @@ class Scheduler(ABC):
                                  worker=worker.worker_index,
                                  task=task.task_id)
         return task  # type: ignore[return-value]
-
-    def _steal_colocated(self, worker: "Worker") -> FindWork:
-        """Tier 1: steal one task from a co-located worker's private deque."""
-        rt = self.rt
-        env = rt.env
-        st = rt.stats.steals
-        peers = worker.steal_peers
-        if peers is None:
-            peers = worker.steal_peers = [
-                w for w in worker.place.workers if w is not worker]
-        rng = worker.victims_rng
-        if rng is None:
-            rng = worker.victims_rng = rt.rngs.stream("victims", *worker.wid)
-        order = rng.permutation(len(peers))
-        obs = rt.obs
-        for idx in order:
-            victim = peers[int(idx)]
-            st.local_attempts += 1
-            if obs is not None:
-                obs.emit("steal_attempt", tier="local",
-                         place=worker.place.place_id,
-                         worker=worker.worker_index,
-                         victim=victim.worker_index)
-            yield env.sleep(rt.costs.local_steal_attempt)
-            worker.charge_overhead(rt.costs.local_steal_attempt)
-            task = victim.deque.steal()
-            if task is not None:
-                yield env.sleep(rt.costs.local_steal_success)
-                worker.charge_overhead(rt.costs.local_steal_success)
-                st.local_hits += 1
-                if obs is not None:
-                    obs.emit("steal_hit", tier="local",
-                             place=worker.place.place_id,
-                             worker=worker.worker_index,
-                             victim=victim.worker_index, tasks=1)
-                return task
-        return None
 
     def _steal_local_shared(self, worker: "Worker") -> FindWork:
         """Tier 2: take the oldest task from the place's own shared deque."""
@@ -624,14 +576,17 @@ class Scheduler(ABC):
         """A steal from ``pj`` succeeded: clear its strike history."""
         self._victim_strikes.pop(pj, None)
 
-    # -- collapsed failed round (flat-kernel fast path) ------------------------
-    #: Whether this policy's ``find_work`` follows the canonical tier shape
-    #: :meth:`fast_round` models — mailbox probe, co-located scan, optional
-    #: shared-deque take, board-gated remote tier.  Only the audited
-    #: built-in policies opt in; a subclass with a custom ``find_work``
-    #: keeps the legacy per-probe path unless it opts in itself.
+    # -- collapsed failed round (fast path) ----------------------------------
+    #: Whether this policy's :attr:`find_work_tail` follows the canonical
+    #: tier shape :meth:`fast_round` models — optional shared-deque take,
+    #: then a board-gated remote tier — after the mailbox probe and the
+    #: co-located scan.  Only the audited built-in policies opt in; a
+    #: subclass with a custom tail keeps the per-probe path unless it opts
+    #: in itself.  It earns its place on the bare benchmark's steal-storm
+    #: workload (DESIGN.md §17) and stays off under observers and fault
+    #: plans (see ``Worker._run_loop``).
     _fast_round_ok: bool = False
-    #: Whether ``find_work`` includes the local shared-deque tier.
+    #: Whether the tail includes the local shared-deque tier.
     _fast_shared_tier: bool = True
 
     def _fast_remote_ok(self, worker: "Worker") -> bool:
@@ -653,19 +608,18 @@ class Scheduler(ABC):
     def fast_round(self, worker: "Worker"):
         """Collapse one provably-failed steal round into a single sleep.
 
-        Called by the worker loop (flat kernel, no faults, no observer)
-        *instead of* the deque pop + :meth:`find_work` generator.  When
-        every tier is empty and no other heap entry comes due before the
-        round would end, the legacy round is a fixed script — a known
-        sequence of sleeps, counter bumps, and RNG draws whose outcome is
-        already determined — so this method commits those side effects
-        synchronously and returns the round's end time for one
-        ``sleep_at``.  Returns ``None`` when the round might find work or
-        interleave with any other process; the caller then runs the exact
-        legacy path.
+        Called by the worker loop (no faults, no observer) *instead of*
+        the steal scan + :attr:`find_work_tail`.  When every tier is empty
+        and no other heap entry comes due before the round would end, the
+        round is a fixed script — a known sequence of sleeps, counter
+        bumps, and RNG draws whose outcome is already determined — so this
+        method commits those side effects synchronously and returns the
+        round's end time for one ``sleep_at``.  Returns ``None`` when the
+        round might find work or interleave with any other process; the
+        caller then runs the exact per-probe round.
 
         The commit must replicate *every* observable side effect in the
-        legacy order: simulated-time float adds, overhead-cycle adds,
+        per-probe order: simulated-time float adds, overhead-cycle adds,
         steal-stat counters, the uncontended shared-lock acquire, the
         board retract, victim-RNG draws, and the engine's seq/event
         accounting.  The golden differential suite is the proof.
@@ -681,7 +635,7 @@ class Scheduler(ABC):
             peers = worker.steal_peers = [
                 w for w in place.workers if w is not worker]
         n = len(peers)
-        # The round's timeline, float-added in the legacy sleep order.
+        # The round's timeline, float-added in the per-probe sleep order.
         t = env._now + costs.private_deque_op
         la = costs.local_steal_attempt
         for _ in range(n):

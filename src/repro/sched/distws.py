@@ -113,8 +113,8 @@ class DistWS(Scheduler):
                 and self.victim_order != "nearest"):
             self._random_place_order(worker)
 
-    # -- work finding (Algorithm 1 lines 9-29; tiers 0-1 live in the base
-    # find_work, this is everything after a co-located miss) --------------------
+    # -- work finding (Algorithm 1 lines 9-29; tiers 0-1 run in the worker's
+    # steal scan, this is everything after a co-located miss) -----------------
     def find_work_tail(self, worker: "Worker") -> FindWork:
         task = yield from self._steal_local_shared(worker)
         if task is not None:

@@ -70,7 +70,7 @@ class LocalizedWS(DistWS):
 
     def _fast_remote_commit(self, worker: "Worker") -> None:
         # A collapsed all-skip round still consumes this round's victim
-        # shuffle and advances the strike ledger exactly as find_work
+        # shuffle and advances the strike ledger exactly as find_work_tail
         # would have: a fallback round draws the global order and clears
         # the strikes; a regular (missed) round draws the radius order
         # and adds a strike.

@@ -52,16 +52,16 @@ The scheduler's probe-fail-park round is hoisted into
 over the flat columns); :meth:`Environment.sleep_at` is the kernel-side
 half of that contract.
 
-The PR-5 object kernel is kept verbatim in :mod:`repro.sim.engine_object`
-and selected for a whole process with ``REPRO_KERNEL=object``; the 38-cell
-golden differential and ``tools/kernel_diff.py`` prove both kernels produce
-byte-identical simulated results.  See DESIGN.md §17.
+This is the only kernel.  The golden cells in
+``tests/sim/golden_kernel_snapshots.json`` pin its snapshots, event counts
+and observer streams, and ``tests/sim/reference_kernel.py`` keeps the
+earlier object-record kernel as the reference for the interleaving
+properties in ``tests/sim/test_handles.py``.  See DESIGN.md §17.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from typing import Any, Generator, List, Optional, Tuple
 
 from repro.errors import DeadlockError, SimulationError
@@ -132,10 +132,10 @@ class KernelRound:
     next step or resolves the round back into the generator.
 
     The contract with byte-identity: each armed entry consumes exactly
-    one sequence number at exactly the time the legacy generator's
-    ``sleep`` would have, and :meth:`step` performs exactly the side
-    effects the generator's resume would have performed, in the same
-    order within the same dispatch.  The round is therefore exact under
+    one sequence number at exactly the time a generator's ``sleep``
+    would have, and :meth:`step` performs exactly the side effects the
+    generator's resume would have performed, in the same order within
+    the same dispatch.  The round is therefore exact under
     *any* event interleaving — unlike the collapsed
     :meth:`~repro.sched.base.Scheduler.fast_round`, it needs no global
     heap-quiescence guard.
@@ -324,11 +324,7 @@ class Environment:
 
     def process(self, generator: Generator[Event, Any, Any]) -> "Process":
         """Start a simulated process from ``generator``."""
-        # Via the stable alias: under REPRO_KERNEL=object the module
-        # global ``Process`` is rebound to the object kernel's class, but
-        # a flat Environment must always drive flat processes (the Flat*
-        # aliases exist precisely for in-process differential tests).
-        return FlatProcess(self, generator)
+        return Process(self, generator)
 
     # -- main loop ------------------------------------------------------------
     def _dispatch(self, seq: int, h: int, due: float) -> None:
@@ -530,7 +526,7 @@ class ParkRecord(object):
         self.env = env
         self.process = process
         #: When a kernel-resident idle loop owns this park (tail-less
-        #: schedulers under the flat kernel), wake causes are delivered to
+        #: schedulers), wake causes are delivered to
         #: ``scan_owner.on_wake(cause)`` instead of resuming the worker's
         #: generator — the round restarts entirely inside the kernel.
         self.scan_owner = None
@@ -676,11 +672,7 @@ class ParkRecord(object):
         return f"<ParkRecord {names[self.state]} round={self.round}>"
 
 
-#: Kernel-armed wait targets a flat process may yield.  Captured before
-#: the REPRO_KERNEL rebind at module bottom: flat Process internals must
-#: type-check against the *flat* classes even when the public names are
-#: rebound to the object kernel (the Flat* aliases stay fully usable for
-#: in-process differential tests).
+#: Kernel-armed wait targets a process may yield.
 _KERNEL_WAITS = (ParkRecord, KernelRound)
 
 
@@ -843,32 +835,3 @@ class Process(Event):
         self.fail(SimulationError(
             f"process yielded {target!r}; processes must yield Events"))
 
-
-#: Which kernel this module exposes: ``"flat"`` (this file) or ``"object"``
-#: (the PR-5 kernel from :mod:`repro.sim.engine_object`).  The scheduler's
-#: collapsed probe round keys off this flag.
-KERNEL = "flat"
-
-#: The flat classes stay importable under stable aliases even when the
-#: public names below are rebound to the object kernel — in-process
-#: differential tests drive both kernels side by side through these.
-FlatEnvironment = Environment
-FlatProcess = Process
-FlatParkRecord = ParkRecord
-
-_requested = os.environ.get("REPRO_KERNEL", "flat").strip().lower() or "flat"
-if _requested in ("object", "legacy"):
-    from repro.sim import engine_object as _object_kernel
-
-    KERNEL = "object"
-    Environment = _object_kernel.Environment  # type: ignore[misc]
-    Process = _object_kernel.Process  # type: ignore[misc]
-    ParkRecord = _object_kernel.ParkRecord  # type: ignore[misc]
-    Interrupt = _object_kernel.Interrupt  # type: ignore[misc]
-    CAUSE_DONE = _object_kernel.CAUSE_DONE
-    CAUSE_WORK = _object_kernel.CAUSE_WORK
-    CAUSE_TIMEOUT = _object_kernel.CAUSE_TIMEOUT
-    CAUSE_BOARD = _object_kernel.CAUSE_BOARD
-elif _requested != "flat":
-    raise SimulationError(
-        f"unknown REPRO_KERNEL={_requested!r}; expected 'flat' or 'object'")

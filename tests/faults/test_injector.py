@@ -137,6 +137,23 @@ class TestCrashDuringStealWindows:
             for w in p.workers:
                 assert w.pending_chunk == []
 
+    def test_crash_during_colocated_steal_stall_keeps_task(self):
+        # p3 crashes inside a worker's 250-cycle local_steal_success stall:
+        # the stolen task has left the victim's deque but is not yet the
+        # thief's current_task.  It must be relocated, not dropped (the
+        # run then never terminates: "1 tasks still pending").  A crash
+        # ~1100 cycles earlier misses the window.
+        from repro.apps import make_app
+
+        plan = FaultPlan.parse("crash:p3@4761102")
+        rt = SimRuntime(spec(), DistWS(), seed=1)
+        inj = FaultInjector(plan).attach(rt)
+        app = make_app("uts", scale="test", seed=12345)
+        stats = app.run(rt, validate=True, max_cycles=1e8)
+        inj.ledger.assert_work_conserved()
+        assert stats.tasks_executed == stats.tasks_spawned
+        assert stats.faults.tasks_reexecuted == stats.faults.tasks_lost
+
     def test_task_lost_twice_is_relocated_again(self):
         # p2, a survivor of the first crash, crashes while tasks
         # relocated from p1 are still queued there: those tasks are lost

@@ -1,11 +1,11 @@
-"""The legacy object-record event kernel (``REPRO_KERNEL=object``).
+"""Reference kernel: the object-record event kernel, kept for tests.
 
-This module is the PR-5 kernel, frozen verbatim when the flat
-struct-of-arrays kernel replaced it in :mod:`repro.sim.engine`.  It is
-kept importable for differential testing: the golden-cell suite and
-``tools/kernel_diff.py`` run the same grid under both kernels and demand
-byte-identical simulated metrics.  Select it for a whole process by
-setting ``REPRO_KERNEL=object`` before the first ``repro`` import.
+This is the kernel :mod:`repro.sim.engine` replaced with its flat
+struct-of-arrays layout, frozen as it was.  The library never imports
+it.  It survives as the reference implementation for the hypothesis
+interleaving properties in ``tests/sim/test_handles.py``: arbitrary
+park/wake and sleep/interrupt races must produce the same timeline,
+causes and event accounting on both kernels.
 
 :class:`Environment` owns the event heap and the simulated clock.  Time is a
 float measured in *cycles* throughout the library (the cluster cost model
@@ -67,9 +67,6 @@ PARK_IDLE = 0      # not parked; any heap entries are stale
 PARK_PARKED = 1    # worker waiting; first _fire() wins
 PARK_WAKING = 2    # wake hop 1 in the heap (the child-event pop stand-in)
 PARK_RESUMING = 3  # wake hop 2 in the heap (the composite pop stand-in)
-
-
-KERNEL = "object"
 
 
 class Environment:

@@ -1,4 +1,4 @@
-"""Handle lifecycle and cross-kernel equivalence for the flat kernel.
+"""Handle lifecycle and reference-kernel equivalence for the kernel.
 
 The struct-of-arrays kernel keys every schedulable entity — process
 resumes, events, park hops, backoff probes, kernel-resident steal scans —
@@ -11,37 +11,40 @@ the lifecycle invariants:
   — a stale pop must never fire a handle's new owner;
 - arbitrary arm/cancel/fire interleavings (hypothesis-driven) produce
   the same timeline, causes, and ``events_processed`` accounting as the
-  object kernel in :mod:`repro.sim.engine_object`;
-- full simulations agree between kernels byte for byte, *including*
-  ``events_processed`` — the flat kernel's batched same-cycle dispatch
-  counts every dispatched entry exactly as the one-pop-per-iteration
-  legacy loop does.
+  object-record kernel kept in ``tests/sim/reference_kernel.py``.
+
+- full simulations agree byte for byte, *including* ``events_processed``,
+  between the batched run loop and a one-pop-per-step loop over
+  ``Environment.step`` — the batched same-cycle dispatch counts every
+  dispatched entry exactly as the unbatched loop does.
+
+The golden cells in ``tests/sim/test_kernel_fastpath.py`` additionally
+pin each cell's snapshot, ``events_processed`` and observer-stream hash.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import engine_object
-from repro.sim.engine import (FlatEnvironment, FlatParkRecord, Interrupt,
-                              _INITIAL_CAPACITY)
+from repro.apps import make_app
+from repro.cluster.topology import ClusterSpec
+from repro.runtime.runtime import SimRuntime
+from repro.runtime.task import _reset_task_ids
+from repro.sched import make_scheduler
 from repro.sim import engine as flat_engine
-
-REPO_ROOT = os.path.abspath(
-    os.path.join(os.path.dirname(__file__), "..", ".."))
+from repro.sim.engine import (Environment, Interrupt, ParkRecord,
+                              _INITIAL_CAPACITY)
+from tests.sim import reference_kernel
 
 
 # -- free-list growth --------------------------------------------------------
 
 def test_free_list_exhaustion_grows_geometrically():
-    env = FlatEnvironment()
+    env = Environment()
     assert env._cap == _INITIAL_CAPACITY
 
     def sleeper():
@@ -61,7 +64,7 @@ def test_free_list_exhaustion_grows_geometrically():
 
 def test_growth_keeps_armed_entries_valid():
     """Entries armed before a growth fire correctly after it."""
-    env = FlatEnvironment()
+    env = Environment()
     fired = []
 
     def early():
@@ -82,7 +85,7 @@ def test_growth_keeps_armed_entries_valid():
 # -- handle recycling --------------------------------------------------------
 
 def test_finished_process_handle_recycled_lifo():
-    env = FlatEnvironment()
+    env = Environment()
 
     def quick():
         yield env.sleep(1.0)
@@ -103,7 +106,7 @@ def test_stale_entry_never_fires_old_or_new_owner():
     the stale pop at t=100 to an unrelated new owner, so it is retired
     (cleared, never returned to the free-list).
     """
-    env = FlatEnvironment()
+    env = Environment()
     log = []
 
     def victim_body():
@@ -141,11 +144,11 @@ def test_stale_entry_never_fires_old_or_new_owner():
 
 def test_clean_interrupt_of_parked_process_recycles_handle():
     """A park cancel disarms in place: the handle stays clean."""
-    env = FlatEnvironment()
+    env = Environment()
 
     def parker():
         proc = env._current
-        park = FlatParkRecord(env, proc)
+        park = ParkRecord(env, proc)
         try:
             park.begin(50.0, False)
             yield park
@@ -165,7 +168,7 @@ def test_clean_interrupt_of_parked_process_recycles_handle():
     assert p._h in env._free
 
 
-# -- hypothesis: interleavings match the object kernel -----------------------
+# -- hypothesis: interleavings match the reference kernel --------------------
 
 def _cause_label(mod, cause):
     for name in ("CAUSE_DONE", "CAUSE_WORK", "CAUSE_TIMEOUT", "CAUSE_BOARD"):
@@ -213,11 +216,11 @@ def test_park_interleavings_match_object_kernel(ops):
 
     ``dt=0`` steps make wake sources race the backoff deadline at one
     timestamp — exactly the races the arm/seq guards must resolve the
-    way the legacy kernel's AnyOf pop order did.
+    way the reference kernel's AnyOf pop order did.
     """
     flat = _park_trace(flat_engine, ops)
-    legacy = _park_trace(engine_object, ops)
-    assert flat == legacy
+    reference = _park_trace(reference_kernel, ops)
+    assert flat == reference
 
 
 def _interrupt_trace(mod, plan):
@@ -260,38 +263,33 @@ def test_sleep_interrupt_interleavings_match_object_kernel(plan):
     fire; ``cut > dur`` interrupts a process that already moved on.
     """
     flat = _interrupt_trace(flat_engine, plan)
-    legacy = _interrupt_trace(engine_object, plan)
-    assert flat == legacy
+    reference = _interrupt_trace(reference_kernel, plan)
+    assert flat == reference
 
 
-# -- cross-kernel full-simulation identity (batched-dispatch accounting) -----
+# -- full simulation: batched run loop vs one-pop-per-step dispatch ----------
 
-_CELL_SNIPPET = """\
-import json
-from repro.cluster.topology import ClusterSpec
-from repro.runtime.runtime import SimRuntime
-from repro.runtime.task import _reset_task_ids
-from repro.sched import make_scheduler
-from repro.apps import make_app
-_reset_task_ids()
-spec = ClusterSpec(n_places=4, workers_per_place=2, max_threads=6)
-rt = SimRuntime(spec, make_scheduler({sched!r}), seed=1)
-app = make_app({app!r}, scale="test", seed=12345)
-stats = app.run(rt, validate=False)
-print(json.dumps({{"events_processed": rt.env.events_processed,
-                   "snapshot": stats.snapshot()}}, sort_keys=True))
-"""
+def _stepped_run(self, until=None):
+    """``Environment.run(until=event)`` as a loop over :meth:`step`.
+
+    Every entry goes through the cold ``_dispatch`` copy one heap pop at
+    a time: no batch drain, no inlined column lookups.
+    """
+    while self._queue:
+        if until.callbacks is None:
+            return until.value
+        self.step()
+    assert until.processed
+    return until.value
 
 
-def _run_cell_subprocess(app: str, sched: str, kernel: str) -> str:
-    env = dict(os.environ)
-    env["REPRO_KERNEL"] = kernel
-    env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
-    out = subprocess.run(
-        [sys.executable, "-c", _CELL_SNIPPET.format(app=app, sched=sched)],
-        env=env, capture_output=True, text=True, timeout=300)
-    assert out.returncode == 0, out.stderr
-    return out.stdout
+def _run_cell(app: str, sched: str) -> str:
+    _reset_task_ids()
+    spec = ClusterSpec(n_places=4, workers_per_place=2, max_threads=6)
+    rt = SimRuntime(spec, make_scheduler(sched), seed=1)
+    stats = make_app(app, scale="test", seed=12345).run(rt, validate=False)
+    return json.dumps({"events_processed": rt.env.events_processed,
+                       "snapshot": stats.snapshot()}, sort_keys=True)
 
 
 @pytest.mark.parametrize("app,sched", [
@@ -299,14 +297,17 @@ def _run_cell_subprocess(app: str, sched: str, kernel: str) -> str:
     ("uts", "X10WS"),      # kernel-resident idle loop (no policy tail)
     ("turing", "X10WS"),   # barrier phases: heavy park/wake churn
 ])
-def test_full_run_identical_across_kernels_including_event_count(app, sched):
+def test_full_run_identical_across_kernels_including_event_count(
+        app, sched, monkeypatch):
     """Snapshots AND ``events_processed`` agree byte for byte.
 
-    The flat kernel's batch drain and collapsed rounds must count every
-    logical dispatch — a diverging event count means an entry was
-    skipped or double-counted even if the physics happen to match.
+    The batched run loop and the one-pop-per-step ``_dispatch`` path must
+    count every logical dispatch the same — a diverging event count means
+    the batch drain or a collapsed round skipped or double-counted an
+    entry even if the physics happen to match.
     """
-    flat = _run_cell_subprocess(app, sched, "flat")
-    legacy = _run_cell_subprocess(app, sched, "object")
-    assert json.loads(flat)["events_processed"] > 0
-    assert flat == legacy
+    batched = _run_cell(app, sched)
+    monkeypatch.setattr(Environment, "run", _stepped_run)
+    stepped = _run_cell(app, sched)
+    assert json.loads(batched)["events_processed"] > 0
+    assert batched == stepped

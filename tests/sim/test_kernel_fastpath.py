@@ -2,10 +2,24 @@
 
 ``tests/sim/golden_kernel_snapshots.json`` was captured from the tree
 *before* the fast-path rewrite (resume records, cancellable parks,
-inlined run loop).  Every cell re-runs here on the current tree and the
-serialized ``RunStats.snapshot()`` must match byte for byte: the rewrite
-is an engine-only change, so simulated physics — makespan, steal counts,
-per-place utilization, every RNG draw — must be untouched.
+inlined run loop).  Every cell re-runs here on the current tree and must
+match on three counts:
+
+- the serialized ``RunStats.snapshot()`` of a bare run, byte for byte:
+  simulated physics — makespan, steal counts, per-place utilization,
+  every RNG draw — must be untouched by engine-only changes;
+- that run's ``events_processed``: a diverging count means a heap entry
+  was skipped or double-counted even if the physics happen to match;
+- the SHA-256 of the ``JsonlSink`` stream of the same cell observed with
+  ``EventBus(sample_interval=100_000)`` + ``MetricsRegistry``: the
+  observed run must emit the same events, in the same order, with the
+  same payloads and queue-depth samples.
+
+The event counts and stream hashes were added while the object kernel
+and the generator steal-round prefix still existed and agreed with the
+flat kernel's kernel-resident scan on every cell, so they carry that
+cross-implementation verdict forward.  The faulted cells (a crash plan
+after the last ``|``) pin the kernel-resident scan under fault plans.
 
 The bounded-memory tests pin down the other half of the contract: the
 old kernel leaked one waiter ``Event`` per failed round per worker into
@@ -16,6 +30,8 @@ must stay O(workers) no matter how many park/wake rounds elapse.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import os
 
@@ -25,6 +41,7 @@ from repro.apps import make_app
 from repro.cluster.topology import ClusterSpec
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
+from repro.obs import EventBus, JsonlSink, MetricsRegistry
 from repro.runtime.runtime import SimRuntime
 from repro.runtime.task import _reset_task_ids
 from repro.sched import make_scheduler
@@ -37,22 +54,45 @@ with open(GOLDEN) as _fh:
     _GOLDEN_CELLS = json.load(_fh)
 
 
-def _snapshot_bytes(key: str) -> str:
+def _run_cell(key: str, stream: "io.StringIO | None" = None):
+    """Run one golden cell; observed when ``stream`` is given."""
     parts = key.split("|")
     _reset_task_ids()
     spec = ClusterSpec(n_places=4, workers_per_place=2, max_threads=4)
     rt = SimRuntime(spec, make_scheduler(parts[0]), seed=int(parts[2]))
     if len(parts) > 3:  # faulted cell, e.g. "crash:p2@600000,seed:3"
         FaultInjector(FaultPlan.parse(parts[3])).attach(rt)
+    if stream is not None:
+        bus = EventBus(sample_interval=100_000)
+        bus.subscribe(MetricsRegistry())
+        bus.subscribe(JsonlSink(stream=stream))
+        bus.attach(rt)
     app = make_app(parts[1], scale="test", seed=12345)
     stats = app.run(rt)
-    return json.dumps(stats.snapshot(), sort_keys=True, indent=1)
+    return stats.snapshot(), rt.env.events_processed
+
+
+def cell_record(key: str) -> dict:
+    """Bare snapshot + event count, and the observed run's stream hash."""
+    snapshot, events = _run_cell(key)
+    stream = io.StringIO()
+    _run_cell(key, stream)
+    return {
+        "snapshot": snapshot,
+        "events_processed": events,
+        "stream_sha256": hashlib.sha256(
+            stream.getvalue().encode()).hexdigest(),
+    }
 
 
 @pytest.mark.parametrize("key", sorted(_GOLDEN_CELLS))
 def test_fastpath_matches_pre_rewrite_golden(key):
-    expected = json.dumps(_GOLDEN_CELLS[key], sort_keys=True, indent=1)
-    assert _snapshot_bytes(key) == expected
+    expected = _GOLDEN_CELLS[key]
+    got = cell_record(key)
+    assert (json.dumps(got["snapshot"], sort_keys=True, indent=1)
+            == json.dumps(expected["snapshot"], sort_keys=True, indent=1))
+    assert got["events_processed"] == expected["events_processed"]
+    assert got["stream_sha256"] == expected["stream_sha256"]
 
 
 # -- bounded memory ---------------------------------------------------------

@@ -36,10 +36,6 @@ def test_trace_analysis_runs(tmp_path):
     assert (tmp_path / "trace_analysis.trace.json").exists()
 
 
-def test_live_threads_runs():
-    assert run_example("live_threads.py") == "ok"
-
-
 def test_tune_chunk_size_runs(capsys):
     assert run_example("tune_chunk_size.py") == "ok"
     out = capsys.readouterr().out
