@@ -7,14 +7,15 @@ and prints each rendered artifact.  Expect ~15-30 minutes on a laptop —
 or divide that by your core count with ``--parallel``.
 
 Run:  python examples/reproduce_paper.py [test|bench] [artifact ...]
-          [--parallel N] [--cache-dir DIR]
+          [--parallel N] [--store PATH]
 
 With ``test`` the suite uses small instances (a couple of minutes; the
 shapes are weaker at that scale).  Naming artifacts (e.g. ``fig6 table3``)
 runs just those.  ``--parallel N`` shards the (app x scheduler x seed)
 grid over N worker processes; results are byte-identical to a serial
-run.  ``--cache-dir DIR`` memoises finished cells on disk, so a repeated
-invocation replays from the cache without simulating anything.
+run.  ``--store PATH`` memoises finished cells in an experiment store
+(one SQLite file), so a repeated invocation replays from the store
+without simulating anything.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ def parse_args(argv):
     scale = "bench"
     wanted = []
     parallel = 1
-    cache_dir = None
+    store_path = None
     args = list(argv)
     while args:
         arg = args.pop(0)
@@ -43,21 +44,21 @@ def parse_args(argv):
             parallel = int(args.pop(0))
             if parallel < 1:
                 raise SystemExit("--parallel must be >= 1")
-        elif arg == "--cache-dir":
+        elif arg == "--store":
             if not args:
-                raise SystemExit("--cache-dir needs a directory")
-            cache_dir = args.pop(0)
+                raise SystemExit("--store needs a file path")
+            store_path = args.pop(0)
         else:
             raise SystemExit(
                 f"unknown argument {arg!r}; artifacts: "
                 f"{', '.join(EXPERIMENTS)}")
-    return scale, wanted or list(EXPERIMENTS), parallel, cache_dir
+    return scale, wanted or list(EXPERIMENTS), parallel, store_path
 
 
 def main(argv) -> None:
-    scale, wanted, parallel, cache_dir = parse_args(argv)
+    scale, wanted, parallel, store_path = parse_args(argv)
 
-    with execution(parallel=parallel, cache_dir=cache_dir) as ctx:
+    with execution(parallel=parallel, store_path=store_path):
         for name in wanted:
             fn = EXPERIMENTS[name]
             t0 = time.perf_counter()
@@ -67,11 +68,6 @@ def main(argv) -> None:
             wall = time.perf_counter() - t0
             print(out.rendered, flush=True)
             print(f"\n[{name} done in {wall:.1f}s]", flush=True)
-        if cache_dir:
-            print(f"\n[{ctx.simulations} simulations, "
-                  f"{ctx.cache.hits} cache hits, "
-                  f"{ctx.cache.stores} newly cached in {cache_dir}]",
-                  flush=True)
 
 
 if __name__ == "__main__":

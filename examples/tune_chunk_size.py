@@ -35,7 +35,7 @@ def main() -> None:
         scale="test", sched_seeds=(1, 2, 3))
 
     # parallel=4 shards the 15 runs (5 configs x 3 seeds) over four
-    # processes; add cache_dir=... to make re-runs instant.
+    # processes; add store_path=... to make re-runs instant.
     with execution(parallel=4):
         report = tune([cell], GridSearch(),
                       knob_names=["remote_chunk_size"])

@@ -70,15 +70,18 @@ def _canon_scheduler(name: str) -> str:
         f"unknown scheduler {name!r}; known: {sorted(SCHEDULERS)}")
 
 
-def _resolve_fault_plan(args, spec):
+def _resolve_fault_plan(args, spec, knobs):
     """Parse ``--faults`` and resolve fractional times against a horizon.
 
     Fractional fault times (``crash:p2@0.4``) are relative to the
-    fault-free makespan of the same (app, scheduler, cluster, seeds)
-    configuration, so a calibration run is performed first when needed.
-    The calibration goes through the harness, so with ``--cache-dir`` a
-    repeated chaos experiment reuses the cached fault-free run instead
-    of re-simulating it.
+    fault-free makespan of the same (app, scheduler, knobs, cluster,
+    seeds) configuration, so a calibration run is performed first when
+    needed.  ``knobs`` are the parsed ``--sched-arg`` values; an online
+    ``--controller`` is not part of the calibration, because a
+    controller object cannot ride in a ``RunSpec``.  The calibration
+    goes through the harness, so with ``--store`` a repeated chaos
+    experiment reuses the stored fault-free run instead of
+    re-simulating it.
     """
     from repro.faults import FaultPlan
     from repro.harness import run_once
@@ -86,7 +89,8 @@ def _resolve_fault_plan(args, spec):
     if plan.needs_horizon:
         cal = run_once(args.app, args.scheduler, spec,
                        app_seed=args.seed, sched_seed=args.sched_seed,
-                       scale=args.scale, validate=False)
+                       scale=args.scale, validate=False,
+                       sched_kwargs=knobs)
         print(f"[calibration: fault-free makespan "
               f"{cal.stats.makespan_cycles:.0f} cycles]")
         plan = plan.resolved(cal.stats.makespan_cycles)
@@ -114,12 +118,13 @@ def _cmd_run(args) -> int:
     spec = ClusterSpec(n_places=args.places,
                        workers_per_place=args.workers,
                        max_threads=args.workers + 4)
-    sched_kwargs = parse_sched_args(args.scheduler,
-                                    args.sched_arg) or {}
+    knobs = parse_sched_args(args.scheduler, args.sched_arg) or {}
+    sched_kwargs = dict(knobs)
     if args.controller:
         sched_kwargs["controller"] = make_controller(args.controller)
-    with execution(cache_dir=args.cache_dir):
-        plan = _resolve_fault_plan(args, spec) if args.faults else None
+    with execution(store_path=args.store):
+        plan = (_resolve_fault_plan(args, spec, knobs) if args.faults
+                else None)
     app = make_app(args.app, scale=args.scale, seed=args.seed)
     sched = make_scheduler(args.scheduler, **sched_kwargs)
     rt = SimRuntime(spec, sched, seed=args.sched_seed)
@@ -215,14 +220,10 @@ def _cmd_tune(args) -> int:
             raise ConfigError("the asha engine needs --budget")
         engine = SuccessiveHalving(budget=args.budget,
                                    seed=args.search_seed, eta=args.eta)
-    with execution(parallel=args.parallel, cache_dir=args.cache_dir,
-                   store_path=args.store) as ctx:
+    with execution(parallel=args.parallel, store_path=args.store) as ctx:
         report = tune(cells, engine, knob_names=args.knob or None)
         print(report.rendered(top=args.top))
-        if args.cache_dir:
-            print(f"\n[{ctx.simulations} simulations, "
-                  f"{ctx.cache.hits} cache hits, "
-                  f"{ctx.cache.stores} stored in {args.cache_dir}]")
+        _print_store_summary(args, ctx)
     if args.json:
         with open(args.json, "w") as fh:
             fh.write(report.to_json())
@@ -251,17 +252,13 @@ def _cmd_theory(args) -> int:
     else:
         lambdas = LAMBDA_GRID_QUICK if args.quick else LAMBDA_GRID_FULL
     seeds = tuple(range(1, args.seeds + 1))
-    with execution(parallel=args.parallel, cache_dir=args.cache_dir,
-                   store_path=args.store) as ctx:
+    with execution(parallel=args.parallel, store_path=args.store) as ctx:
         report = run_theory_sweep(
             apps=apps, schedulers=schedulers, spec=spec,
             lambdas=lambdas, sched_seeds=seeds, scale=args.scale,
             app_seed=args.seed)
         print(report.rendered())
-        if args.cache_dir:
-            print(f"\n[{ctx.simulations} simulations, "
-                  f"{ctx.cache.hits} cache hits, "
-                  f"{ctx.cache.stores} stored in {args.cache_dir}]")
+        _print_store_summary(args, ctx)
     os.makedirs(args.out, exist_ok=True)
     verdict_path = os.path.join(args.out, "theory_verdict.json")
     with open(verdict_path, "w") as fh:
@@ -394,18 +391,18 @@ def _cmd_reproduce(args) -> int:
             print(f"unknown artifact {name!r}; known: "
                   f"{', '.join(EXPERIMENTS)}", file=sys.stderr)
             return 2
-    with execution(parallel=args.parallel, cache_dir=args.cache_dir,
-                   store_path=args.store) as ctx:
+    with execution(parallel=args.parallel, store_path=args.store) as ctx:
         code = _reproduce_artifacts(args, names)
-        if args.cache_dir:
-            print(f"\n[{ctx.simulations} simulations, "
-                  f"{ctx.cache.hits} cache hits, "
-                  f"{ctx.cache.stores} stored in {args.cache_dir}]")
-        if args.store:
-            counts = ctx.store.counts()
-            print(f"\n[store {args.store}: {ctx.simulations} cells "
-                  f"simulated here, {counts['done']} done total]")
+        _print_store_summary(args, ctx)
     return code
+
+
+def _print_store_summary(args, ctx) -> None:
+    """One line on what a ``--store`` sweep simulated and replayed."""
+    if args.store:
+        counts = ctx.store.counts()
+        print(f"\n[store {args.store}: {ctx.simulations} cells "
+              f"simulated here, {counts['done']} done total]")
 
 
 def _enqueue_grid(args):
@@ -863,9 +860,10 @@ def main(argv=None) -> int:
                       help="fault-injection spec, e.g. "
                            "'crash:p2@0.4,loss:steal=0.05,policy:relax' "
                            "(see repro.faults.plan for the grammar)")
-    runp.add_argument("--cache-dir", metavar="DIR",
-                      help="result cache for the --faults calibration "
-                           "pre-run (repeat chaos runs skip it)")
+    runp.add_argument("--store", metavar="PATH",
+                      help="experiment store for the --faults "
+                           "calibration pre-run (repeat chaos runs "
+                           "skip it)")
     runp.add_argument("--sched-arg", action="append", metavar="KEY=VALUE",
                       help="set a scheduler knob (repeatable; see "
                            "`repro list` for knobs and defaults)")
@@ -932,16 +930,14 @@ def main(argv=None) -> int:
                       metavar="N",
                       help="shard the experiment grid over N processes "
                            "(results identical to serial)")
-    repp.add_argument("--cache-dir", metavar="DIR",
-                      help="content-addressed result cache; repeated "
-                           "runs reuse finished cells")
     repp.add_argument("--sched-arg", action="append", metavar="KEY=VALUE",
                       help="set a scheduler knob across the whole grid "
                            "(repeatable; schedulers lacking a knob "
                            "ignore it)")
     repp.add_argument("--store", metavar="PATH",
                       help="route the grid through a durable experiment "
-                           "store (SQLite job queue): crash-resumable, "
+                           "store (SQLite job queue): repeated runs "
+                           "replay finished cells, crash-resumable, "
                            "drainable by `repro workers` on this host")
 
     enq = sub.add_parser("enqueue",
@@ -1088,12 +1084,10 @@ def main(argv=None) -> int:
     tunep.add_argument("--parallel", type=_positive_int, default=1,
                        metavar="N",
                        help="shard trials over N processes")
-    tunep.add_argument("--cache-dir", metavar="DIR",
-                       help="content-addressed result cache; repeated "
-                            "searches replay finished trials")
     tunep.add_argument("--store", metavar="PATH",
                        help="route trials through a durable experiment "
-                            "store (shared with `repro workers`)")
+                            "store (shared with `repro workers`); "
+                            "repeated searches replay finished trials")
     tunep.add_argument("--json", metavar="PATH",
                        help="write the full report as JSON")
 
@@ -1131,12 +1125,10 @@ def main(argv=None) -> int:
     theoryp.add_argument("--parallel", type=_positive_int, default=1,
                          metavar="N",
                          help="shard the lambda grid over N processes")
-    theoryp.add_argument("--cache-dir", metavar="DIR",
-                         help="content-addressed result cache; repeated "
-                              "sweeps replay finished cells")
     theoryp.add_argument("--store", metavar="PATH",
                          help="route the sweep through a durable "
-                              "experiment store (SQLite job queue)")
+                              "experiment store (SQLite job queue); "
+                              "repeated sweeps replay finished cells")
 
     def _serve_common(p, *, loadgen: bool) -> None:
         """Flags shared by ``serve`` and ``loadgen``."""

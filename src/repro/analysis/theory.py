@@ -13,7 +13,7 @@ checks them against the theory:
 
 - sweep ``CostModel.net_latency`` over a λ grid, holding everything else
   fixed, through the ambient execution context (so ``--parallel``
-  pools, result caches, and the SQLite experiment store all apply);
+  helpers and the SQLite experiment store both apply);
 - per scheduler × app, fit measured makespan against the two-parameter
   model ``y = a + c · (λ·log₂W)`` by least squares and report the
   fitted constant ``c``, the intercept ``a`` (to be compared with the
@@ -242,11 +242,10 @@ def run_theory_sweep(apps: Sequence[str] = ("uts",),
     One :class:`CellRequest` per (app, scheduler, λ) — each cell runs
     every scheduler seed — executed through the ambient
     :class:`~repro.harness.parallel.ExecutionContext`, so the sweep
-    shards over a process pool, replays from a result cache, or drains
-    through a crash-resilient experiment store, exactly like
-    ``repro reproduce``.  Per-λ cost models flow into every
-    ``RunSpec.cache_key``, so no two λ points can ever collide in a
-    cache or store.
+    shards over helper processes or drains through a crash-resilient
+    experiment store, exactly like ``repro reproduce``.  Per-λ cost
+    models flow into every ``RunSpec.cache_key``, so no two λ points
+    can ever collide in a store.
 
     ``sched_kwargs`` optionally maps scheduler name -> constructor knobs.
     """

@@ -13,7 +13,6 @@ from repro.harness.figures import bar_chart, grouped_bars, series_lines
 from repro.harness.parallel import (
     CellRequest,
     ExecutionContext,
-    ResultCache,
     RunSpec,
     current_context,
     execution,
@@ -46,7 +45,6 @@ __all__ = [
     "ExperimentStore",
     "MAIN_SCHEDULERS",
     "QuarantinedError",
-    "ResultCache",
     "RunResult",
     "RunSpec",
     "StoreError",

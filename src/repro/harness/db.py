@@ -14,8 +14,8 @@ Three layers:
 - :class:`ExperimentStore` — one WAL-mode SQLite file, one row per
   :class:`~repro.harness.parallel.RunSpec` keyed by its SHA-256
   ``cache_key()``.  Status machine ``pending -> leased -> done |
-  failed``; results are the same pickled ``RunResult`` payload the
-  :class:`~repro.harness.parallel.ResultCache` uses.  Every write is one
+  failed``; a ``done`` row holds its pickled ``RunResult``, so the
+  store is also the sweep's memo of finished cells.  Every write is one
   transaction, retried with exponential backoff on ``database is
   locked`` so any number of processes on one host can share the file
   safely.
@@ -849,7 +849,7 @@ def graceful_signals():
     Long-running harness commands (``repro workers``, ``repro reproduce
     --parallel``) wrap their body in this so a ``kill`` (or a SIGINT)
     unwinds through the normal interrupt path — releasing held leases
-    and cancelling queued futures — instead of dying with a bare
+    and joining helper processes — instead of dying with a bare
     traceback mid-write.  A no-op off the main thread (signal handlers
     can only be installed there).
     """

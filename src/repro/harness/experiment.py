@@ -85,9 +85,9 @@ def run_once(app_name: str, scheduler: str,
     the default ``None`` keeps the cell on the fault-free fast path.
 
     Routes through the active :mod:`repro.harness.parallel` execution
-    context: with a result cache installed, a repeated run (same app,
-    scheduler, cluster, seeds, cost model, fault plan) is served from
-    disk instead of re-simulating.
+    context: with an experiment store installed, a repeated run (same
+    app, scheduler, cluster, seeds, cost model, fault plan) is served
+    from the store's ``done`` row instead of re-simulating.
     """
     from repro.harness.parallel import RunSpec, current_context
 
@@ -112,8 +112,9 @@ def run_cell(app_name: str, scheduler: str,
 
     Only the first seed validates application output (validating every
     repetition of a deterministic app is redundant).  The cell executes
-    under the active execution context, so its seeds shard over the
-    process pool and hit the result cache when one is installed.
+    under the active execution context, so its seeds shard over helper
+    processes and replay from the experiment store when one is
+    installed.
     """
     from repro.harness.parallel import CellRequest, current_context
 

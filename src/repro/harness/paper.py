@@ -8,9 +8,9 @@ repetition counts; ``examples/reproduce_paper.py`` runs them all.
 Every function declares its whole (app x scheduler x cluster x seed)
 grid up front and executes it through
 :func:`repro.harness.parallel.run_cells`, so an enclosing
-``with execution(parallel=N, cache_dir=...)`` block shards the grid over
-a process pool and memoises finished cells — results stay byte-identical
-to serial execution for the same seeds.
+``with execution(parallel=N, store_path=...)`` block shards the grid over
+helper processes and memoises finished cells in the experiment store —
+results stay byte-identical to serial execution for the same seeds.
 
 Paper artifacts covered:
 

@@ -16,15 +16,12 @@ scheduler seeds.  Three engines are provided:
 Every trial is expressed as a :class:`~repro.harness.parallel.RunSpec`
 and executed through the ambient
 :class:`~repro.harness.parallel.ExecutionContext`, so searches shard
-over the PR-3 process pool (``--parallel``) and memoise in the
-content-addressed :class:`~repro.harness.parallel.ResultCache` —
-repeating or resuming a search replays finished trials from disk with
-**zero** simulations.  With ``execution(store_path=...)`` (CLI:
-``repro tune --store``) trials route through the durable
-:class:`~repro.harness.db.ExperimentStore` job queue instead: trials
-become leased rows that ``repro workers`` processes on the same host
-can help drain, a SIGKILLed search resumes exactly where it stopped, and
-finished trials are never re-simulated.
+over helper processes (``--parallel``).  With
+``execution(store_path=...)`` (CLI: ``repro tune --store``) trials
+become rows of the durable :class:`~repro.harness.db.ExperimentStore`
+job queue: ``repro workers`` processes on the same host can help drain
+them, a SIGKILLed search resumes exactly where it stopped, and
+repeating a search replays finished trials with **zero** simulations.
 
 The paper-default configuration (the empty config: every knob at its
 built-in default) is force-evaluated at every fidelity, so each trial
@@ -134,7 +131,7 @@ def evaluate_configs(cell: TuneCell, configs: Sequence[Dict[str, object]],
 
     The whole batch is flattened to :class:`RunSpec`\\ s first so a
     parallel context shards across configs *and* seeds; identical
-    configs (and cache hits) are simulated only once.  Each returned
+    configs (and rows already done in a store) are simulated only once.  Each returned
     trial carries its regret against the default config, which is
     force-included in the batch.
     """
@@ -457,8 +454,8 @@ def tune(cells: Sequence[TuneCell], engine: SearchEngine,
          knob_names: Optional[Sequence[str]] = None) -> TuningReport:
     """Search every cell with ``engine`` under the ambient context.
 
-    Wrap the call in ``with execution(parallel=N, cache_dir=...)`` to
-    shard trials over a process pool and make the search resumable.
+    Wrap the call in ``with execution(parallel=N, store_path=...)`` to
+    shard trials over helper processes and make the search resumable.
     """
     if not cells:
         raise ConfigError("nothing to tune: no cells given")

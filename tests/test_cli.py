@@ -127,7 +127,7 @@ class TestCli:
 class TestCliParallel:
     def test_reproduce_wires_context_flags(self, capsys, tmp_path,
                                            monkeypatch):
-        """--parallel/--cache-dir install the execution context the
+        """--parallel/--store install the execution context the
         artifact functions run under."""
         from types import SimpleNamespace
 
@@ -138,19 +138,20 @@ class TestCliParallel:
         def fake(scale="bench", sched_kwargs=None):
             ctx = current_context()
             observed["parallel"] = ctx.parallel
-            observed["cached"] = ctx.cache is not None
+            observed["stored"] = ctx.store is not None
             observed["scale"] = scale
             return SimpleNamespace(rendered="fake artifact body")
 
         monkeypatch.setitem(EXPERIMENTS, "fakeart", fake)
         code = main(["reproduce", "fakeart", "--scale", "test",
-                     "--parallel", "2", "--cache-dir", str(tmp_path)])
+                     "--parallel", "2",
+                     "--store", str(tmp_path / "sweep.db")])
         assert code == 0
-        assert observed == {"parallel": 2, "cached": True,
+        assert observed == {"parallel": 2, "stored": True,
                             "scale": "test"}
         out = capsys.readouterr().out
         assert "fake artifact body" in out
-        assert "0 simulations" in out
+        assert "0 cells simulated here" in out
 
     def test_reproduce_warm_cache_skips_simulation(self, capsys,
                                                    tmp_path, monkeypatch):
@@ -169,14 +170,15 @@ class TestCliParallel:
                 rendered=f"tasks={cell.runs[0].stats.tasks_executed}")
 
         monkeypatch.setitem(EXPERIMENTS, "tinyart", tiny)
-        argv = ["reproduce", "tinyart", "--cache-dir", str(tmp_path)]
+        argv = ["reproduce", "tinyart",
+                "--store", str(tmp_path / "sweep.db")]
         assert main(argv) == 0
         cold = capsys.readouterr().out
-        assert "[1 simulations, 0 cache hits, 1 stored" in cold
+        assert "1 cells simulated here, 1 done total]" in cold
         assert main(argv) == 0
         warm = capsys.readouterr().out
-        assert "[0 simulations, 1 cache hits, 0 stored" in warm
-        # The cached replay renders the identical artifact.
+        assert "0 cells simulated here, 1 done total]" in warm
+        # The stored replay renders the identical artifact.
         assert [l for l in cold.splitlines() if l.startswith("tasks=")] \
             == [l for l in warm.splitlines() if l.startswith("tasks=")]
 
@@ -192,6 +194,49 @@ class TestTuneCli:
         assert "knobs (set with --sched-arg key=value" in out
         assert "remote_chunk_size" in out
         assert "attempts_per_round" in out
+
+    def test_faults_calibrate_with_sched_args(self, capsys):
+        """Fractional crash times resolve against the fault-free
+        makespan of the *knobbed* scheduler, not the default one."""
+        from repro.cluster.topology import ClusterSpec
+        from repro.harness import run_once
+
+        spec = ClusterSpec(n_places=4, workers_per_place=4, max_threads=8)
+        want = run_once("uts", "DistWS", spec, scale="test",
+                        validate=False,
+                        sched_kwargs={"remote_chunk_size": 8})
+        code = main(["run", "--app", "uts", "--scale", "test",
+                     "--places", "4", "--workers", "4",
+                     "--sched-arg", "remote_chunk_size=8",
+                     "--faults", "crash:p1@0.9,policy:relax"])
+        assert code == 0
+        assert (f"[calibration: fault-free makespan "
+                f"{want.stats.makespan_cycles:.0f} cycles]"
+                in capsys.readouterr().out)
+
+    def test_faults_calibration_replays_from_store(self, capsys, tmp_path,
+                                                   monkeypatch):
+        import repro.harness.parallel as parallel_mod
+
+        argv = ["run", "--app", "uts", "--scale", "test",
+                "--places", "2", "--workers", "2",
+                "--faults", "crash:p1@0.5,policy:relax",
+                "--store", str(tmp_path / "cal.db")]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        calls = []
+        real = parallel_mod.simulate
+
+        def counting(spec, bus=None):
+            calls.append(spec)
+            return real(spec, bus=bus)
+
+        monkeypatch.setattr(parallel_mod, "simulate", counting)
+        assert main(argv) == 0
+        warm = capsys.readouterr().out
+        assert calls == [], "the stored calibration must not re-simulate"
+        line = [l for l in cold.splitlines() if "[calibration:" in l]
+        assert line and line[0] in warm
 
     def test_run_accepts_sched_args(self, capsys):
         code = main(["run", "--app", "uts", "--scale", "test",
@@ -244,7 +289,7 @@ class TestTuneCli:
                 "--engine", "grid", "--budget", "3",
                 "--knob", "remote_chunk_size",
                 "--places", "2", "--workers", "2", "--seeds", "1",
-                "--cache-dir", str(tmp_path / "cache"),
+                "--store", str(tmp_path / "sweep.db"),
                 "--json", str(tmp_path / "report.json")]
         assert main(argv) == 0
         cold = capsys.readouterr().out
@@ -254,7 +299,7 @@ class TestTuneCli:
         first = (tmp_path / "report.json").read_bytes()
         assert main(argv) == 0
         warm = capsys.readouterr().out
-        assert "[0 simulations," in warm
+        assert "0 cells simulated here" in warm
         # Byte-identical report across cold and warm runs.
         assert (tmp_path / "report.json").read_bytes() == first
         data = json.loads(first)
@@ -347,14 +392,14 @@ class TestTheoryCli:
                 "--scheduler", "stealhalfws",
                 "--lambda", "2000", "--lambda", "8000",
                 "--places", "2", "--workers", "2", "--seeds", "1",
-                "--cache-dir", str(tmp_path / "cache"),
+                "--store", str(tmp_path / "sweep.db"),
                 "--out", str(tmp_path)]
         assert main(argv) == 0
         cold = capsys.readouterr().out
         assert "StealHalfWS" in cold
         assert main(argv) == 0
         warm = capsys.readouterr().out
-        assert "[0 simulations," in warm
+        assert "0 cells simulated here" in warm
 
     def test_theory_rejects_unknown_scheduler(self, capsys):
         code = main(["theory", "--quick", "--scheduler", "TurboWS"])

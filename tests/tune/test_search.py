@@ -1,4 +1,4 @@
-"""Search engines: determinism, ASHA accounting, regret, cache replay."""
+"""Search engines: determinism, ASHA accounting, regret, store replay."""
 
 from __future__ import annotations
 
@@ -27,28 +27,28 @@ KNOBS = ["remote_chunk_size"]
 
 
 @pytest.fixture(scope="module")
-def cache_dir(tmp_path_factory):
-    """Module-shared result cache: later tests replay earlier sims."""
-    return str(tmp_path_factory.mktemp("tune-cache"))
+def store_path(tmp_path_factory):
+    """Module-shared experiment store: later tests replay earlier sims."""
+    return str(tmp_path_factory.mktemp("tune-store") / "trials.db")
 
 
-def _tune(engine, cache_dir, knobs=KNOBS, cell=CELL, parallel=1):
-    with execution(parallel=parallel, cache_dir=cache_dir) as ctx:
+def _tune(engine, store_path, knobs=KNOBS, cell=CELL, parallel=1):
+    with execution(parallel=parallel, store_path=store_path) as ctx:
         report = tune([cell], engine, knob_names=knobs)
     return report, ctx
 
 
 class TestGridSearch:
-    def test_includes_default_and_respects_budget(self, cache_dir):
-        report, _ = _tune(GridSearch(budget=3), cache_dir)
+    def test_includes_default_and_respects_budget(self, store_path):
+        report, _ = _tune(GridSearch(budget=3), store_path)
         trials = report.cells[0].trials
         assert len(trials) == 3
         assert trials[0].is_default
         keys = {t.key() for t in trials}
         assert len(keys) == 3
 
-    def test_full_grid_covers_every_point(self, cache_dir):
-        report, _ = _tune(GridSearch(), cache_dir)
+    def test_full_grid_covers_every_point(self, store_path):
+        report, _ = _tune(GridSearch(), store_path)
         trials = report.cells[0].trials
         # default + the 4 chunk-size grid points, minus nothing: the
         # explicit chunk=2 point is kept (distinct key from {}).
@@ -57,16 +57,16 @@ class TestGridSearch:
                         for t in trials)
         assert chunks == [1, 2, 2, 4, 8]
 
-    def test_regret_is_relative_to_default(self, cache_dir):
-        report, _ = _tune(GridSearch(), cache_dir)
+    def test_regret_is_relative_to_default(self, store_path):
+        report, _ = _tune(GridSearch(), store_path)
         trials = report.cells[0].trials
         default = next(t for t in trials if t.is_default)
         assert default.regret == 0.0
         for t in trials:
             assert t.regret == t.median_makespan - default.median_makespan
 
-    def test_report_ranking_and_default_rank(self, cache_dir):
-        report, _ = _tune(GridSearch(), cache_dir)
+    def test_report_ranking_and_default_rank(self, store_path):
+        report, _ = _tune(GridSearch(), store_path)
         cell = report.cells[0]
         ranked = cell.ranked()
         medians = [t.median_makespan for t in ranked]
@@ -76,9 +76,9 @@ class TestGridSearch:
 
 
 class TestRandomSearch:
-    def test_same_seed_same_trials_and_winner(self, cache_dir):
-        a, _ = _tune(RandomSearch(budget=4, seed=3), cache_dir)
-        b, _ = _tune(RandomSearch(budget=4, seed=3), cache_dir)
+    def test_same_seed_same_trials_and_winner(self, store_path):
+        a, _ = _tune(RandomSearch(budget=4, seed=3), store_path)
+        b, _ = _tune(RandomSearch(budget=4, seed=3), store_path)
         assert [t.key() for t in a.cells[0].trials] == \
             [t.key() for t in b.cells[0].trials]
         assert a.cells[0].best.config == b.cells[0].best.config
@@ -94,8 +94,8 @@ class TestRandomSearch:
         sb = [space.sample(b._rng(b.seed, CELL)) for _ in range(8)]
         assert sa != sb
 
-    def test_first_trial_is_default(self, cache_dir):
-        report, _ = _tune(RandomSearch(budget=4, seed=3), cache_dir)
+    def test_first_trial_is_default(self, store_path):
+        report, _ = _tune(RandomSearch(budget=4, seed=3), store_path)
         assert report.cells[0].trials[0].is_default
 
     def test_budget_validated(self):
@@ -117,12 +117,12 @@ class TestSuccessiveHalving:
         with pytest.raises(ConfigError, match="cannot cover"):
             SuccessiveHalving(budget=2).plan(3)
 
-    def test_promotion_accounting(self, cache_dir):
+    def test_promotion_accounting(self, store_path):
         cell = TuneCell(
             app="uts", scheduler="DistWS", spec=CELL.spec,
             scale="test", sched_seeds=(1, 2))
         engine = SuccessiveHalving(budget=8, seed=0, eta=2)
-        report, _ = _tune(engine, cache_dir, cell=cell)
+        report, _ = _tune(engine, store_path, cell=cell)
         trials = report.cells[0].trials
         sizes = engine.plan(2)
         rung0 = [t for t in trials if t.rung == 0]
@@ -142,11 +142,11 @@ class TestSuccessiveHalving:
         promoted = {t.key() for t in rung1 if not t.is_default}
         assert promoted == expected
 
-    def test_explicit_rungs_climb_fidelities(self, cache_dir):
+    def test_explicit_rungs_climb_fidelities(self, store_path):
         engine = SuccessiveHalving(
             budget=6, seed=0, eta=2,
             rungs=[Fidelity("test", (1,)), Fidelity("test", (1, 2))])
-        report, _ = _tune(engine, cache_dir)
+        report, _ = _tune(engine, store_path)
         cell = report.cells[0]
         assert cell.final_rung == 1
         assert all(t.sched_seeds == (1, 2)
@@ -154,25 +154,24 @@ class TestSuccessiveHalving:
 
 
 class TestCacheReplay:
-    def test_warm_cache_runs_zero_simulations(self, cache_dir, tmp_path):
-        fresh = str(tmp_path / "cache")
+    def test_warm_cache_runs_zero_simulations(self, store_path, tmp_path):
+        fresh = str(tmp_path / "trials.db")
         engine = RandomSearch(budget=4, seed=9)
         first, ctx1 = _tune(engine, fresh)
         assert ctx1.simulations > 0
         second, ctx2 = _tune(engine, fresh)
         assert ctx2.simulations == 0
-        assert ctx2.cache.hits > 0
         assert second.to_json() == first.to_json()
 
-    def test_parallel_matches_serial(self, cache_dir, tmp_path):
+    def test_parallel_matches_serial(self, store_path, tmp_path):
         engine = GridSearch(budget=3)
-        serial, _ = _tune(engine, str(tmp_path / "a"))
-        sharded, _ = _tune(engine, str(tmp_path / "b"), parallel=2)
+        serial, _ = _tune(engine, str(tmp_path / "a.db"))
+        sharded, _ = _tune(engine, str(tmp_path / "b.db"), parallel=2)
         assert sharded.to_json() == serial.to_json()
 
 
 class TestSearchBeatsDefault:
-    def test_lifeline_steal_attempts_beat_paper_default(self, cache_dir):
+    def test_lifeline_steal_attempts_beat_paper_default(self, store_path):
         """ISSUE acceptance: the search finds a config that beats the
         paper-default median makespan on at least one cell, with regret
         recorded per trial (negative = beats the default)."""
@@ -181,7 +180,7 @@ class TestSearchBeatsDefault:
             spec=ClusterSpec(n_places=4, workers_per_place=2,
                              max_threads=6),
             scale="test", sched_seeds=(1, 2))
-        report, _ = _tune(GridSearch(), cache_dir,
+        report, _ = _tune(GridSearch(), store_path,
                           knobs=["attempts_per_round"], cell=cell)
         best = report.cells[0].best
         assert not best.is_default
@@ -196,8 +195,8 @@ class TestTuneEntryPoint:
         with pytest.raises(ConfigError, match="nothing to tune"):
             tune([], GridSearch())
 
-    def test_report_render_mentions_default_rank(self, cache_dir):
-        report, _ = _tune(GridSearch(budget=3), cache_dir)
+    def test_report_render_mentions_default_rank(self, store_path):
+        report, _ = _tune(GridSearch(budget=3), store_path)
         text = report.rendered(top=5)
         assert "default rank" in text
         assert "(default)" in text

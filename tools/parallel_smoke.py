@@ -5,13 +5,15 @@ Runs a reduced (app x scheduler x seed) grid three ways and checks the
 determinism contract of ``repro.harness.parallel`` end to end:
 
 1. **serial** — the default single-process execution context;
-2. **parallel** — the same grid sharded over ``--parallel`` worker
-   processes; the ``RunStats.snapshot()`` JSON must be *byte-identical*
-   to serial, and the wall-clock speedup must reach ``--min-speedup``;
-3. **cached** — the grid twice through an on-disk result cache; the
+2. **parallel** — ``ExecutionContext(parallel=N)``: the same grid
+   drained through a private, telemetry-off experiment store by
+   ``--parallel`` processes; the ``RunStats.snapshot()`` JSON must be
+   *byte-identical* to serial, and the wall-clock speedup must reach
+   ``--min-speedup``;
+3. **stored** — the grid twice through one experiment store file; the
    warm pass must run **zero** simulations and reproduce the same bytes.
 
-Exit 1 on any divergence, missed speedup, or warm-cache simulation.
+Exit 1 on any divergence, missed speedup, or warm-store simulation.
 
 Usage:
     PYTHONPATH=src python tools/parallel_smoke.py \
@@ -31,10 +33,10 @@ sys.path.insert(0, os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 from repro.cluster.topology import ClusterSpec  # noqa: E402
+from repro.harness.db import ExperimentStore  # noqa: E402
 from repro.harness.parallel import (  # noqa: E402
     CellRequest,
     ExecutionContext,
-    ResultCache,
 )
 
 
@@ -74,7 +76,7 @@ def main(argv=None) -> int:
     parser.add_argument("--places", type=int, default=8)
     parser.add_argument("--workers", type=int, default=4)
     parser.add_argument("--parallel", type=int, default=4,
-                        help="worker processes for the sharded pass")
+                        help="processes for the sharded pass")
     parser.add_argument("--min-speedup", type=float, default=2.0,
                         help="required serial/parallel wall-clock ratio "
                              "(0 disables the check)")
@@ -103,26 +105,29 @@ def main(argv=None) -> int:
               f"{args.min_speedup:.2f}x bound", file=sys.stderr)
         return 1
 
-    with tempfile.TemporaryDirectory(prefix="repro-cache-") as cache_dir:
-        cold = ExecutionContext(parallel=args.parallel,
-                                cache=ResultCache(cache_dir))
-        cold_t, cold_snap = timed(cold, requests)
-        warm = ExecutionContext(cache=ResultCache(cache_dir))
-        warm_t, warm_snap = timed(warm, requests)
-        print(f"cold cache  : {cold_t:6.2f}s  ({cold.cache.stores} stored)")
-        print(f"warm cache  : {warm_t:6.2f}s  ({warm.cache.hits} hits, "
-              f"{warm.simulations} simulations)")
+    with tempfile.TemporaryDirectory(prefix="repro-store-") as tmp:
+        path = os.path.join(tmp, "sweep.db")
+        with ExperimentStore(path) as store:
+            cold = ExecutionContext(parallel=args.parallel, store=store)
+            cold_t, cold_snap = timed(cold, requests)
+            cold_done = store.counts()["done"]
+        with ExperimentStore(path) as store:
+            warm = ExecutionContext(store=store)
+            warm_t, warm_snap = timed(warm, requests)
+        print(f"cold store  : {cold_t:6.2f}s  ({cold_done} rows done)")
+        print(f"warm store  : {warm_t:6.2f}s  "
+              f"({warm.simulations} simulations)")
         if warm.simulations != 0:
-            print(f"\nFAIL: warm cache ran {warm.simulations} simulations "
+            print(f"\nFAIL: warm store ran {warm.simulations} simulations "
                   "(expected 0)", file=sys.stderr)
             return 1
         if cold_snap != serial_snap or warm_snap != serial_snap:
-            print("\nFAIL: cached snapshots diverged from serial",
+            print("\nFAIL: stored snapshots diverged from serial",
                   file=sys.stderr)
             return 1
 
-    print("\nOK: parallel and cached grids byte-identical to serial, "
-          "warm cache simulated nothing")
+    print("\nOK: parallel and stored grids byte-identical to serial, "
+          "warm store simulated nothing")
     return 0
 
 

@@ -10,8 +10,8 @@ Runs a small grid search over one knob and checks the contracts the
    or the knob plumbing is broken);
 2. **regret** — the default trial's regret is exactly zero and every
    other trial's regret is its median minus the default's;
-3. **cache** — repeating the identical search against a warm result
-   cache runs **zero** simulations;
+3. **replay** — repeating the identical search against the same
+   experiment store runs **zero** simulations;
 4. **determinism** — the serialized report is byte-identical across
    the cold and warm runs.
 
@@ -36,7 +36,7 @@ from repro.harness.parallel import execution  # noqa: E402
 from repro.tune import GridSearch, TuneCell, tune  # noqa: E402
 
 
-def run_search(args, cache_dir):
+def run_search(args, store_path):
     cell = TuneCell(
         app=args.app, scheduler=args.scheduler,
         spec=ClusterSpec(n_places=args.places,
@@ -44,7 +44,7 @@ def run_search(args, cache_dir):
                          max_threads=args.workers + 4),
         scale=args.scale, sched_seeds=tuple(range(1, args.seeds + 1)))
     engine = GridSearch(budget=args.budget)
-    with execution(parallel=args.parallel, cache_dir=cache_dir) as ctx:
+    with execution(parallel=args.parallel, store_path=store_path) as ctx:
         report = tune([cell], engine,
                       knob_names=["remote_chunk_size", "victim_order"])
     return report, ctx
@@ -64,16 +64,16 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     failures = []
-    with tempfile.TemporaryDirectory() as cache_dir:
-        cold_report, cold_ctx = run_search(args, cache_dir)
-        warm_report, warm_ctx = run_search(args, cache_dir)
+    with tempfile.TemporaryDirectory() as tmp:
+        store_path = os.path.join(tmp, "trials.db")
+        cold_report, cold_ctx = run_search(args, store_path)
+        warm_report, warm_ctx = run_search(args, store_path)
 
     cell = cold_report.cells[0]
     print(cell.rendered(top=args.budget))
     ranked = cell.ranked()
     print(f"\ncold: {cold_ctx.simulations} simulations; "
-          f"warm: {warm_ctx.simulations} simulations, "
-          f"{warm_ctx.cache.hits} cache hits")
+          f"warm: {warm_ctx.simulations} simulations")
 
     # Tie-aware rank: grid points that spell out the default values tie
     # its median exactly, and the lexicographic tie-break lists them
@@ -98,10 +98,10 @@ def main(argv=None) -> int:
 
     if cold_ctx.simulations == 0:
         failures.append("cold search ran zero simulations "
-                        "(cache unexpectedly warm)")
+                        "(store unexpectedly warm)")
     if warm_ctx.simulations != 0:
         failures.append(
-            f"warm-cache search ran {warm_ctx.simulations} simulations "
+            f"warm-store search ran {warm_ctx.simulations} simulations "
             "(expected zero)")
 
     if warm_report.to_json() != cold_report.to_json():
@@ -113,7 +113,7 @@ def main(argv=None) -> int:
             print(f"  - {f}", file=sys.stderr)
         return 1
     print("\nOK: default in top half, regret consistent, "
-          "warm cache replayed with zero simulations, "
+          "warm store replayed with zero simulations, "
           "report bytes deterministic")
     return 0
 
