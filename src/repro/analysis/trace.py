@@ -109,6 +109,8 @@ class TraceRecorder(Sink):
     call :meth:`finalize` after.
     """
 
+    consumes = frozenset(("task_spawn", "task_end"))
+
     def __init__(self, runtime: SimRuntime) -> None:
         if runtime._started:
             raise ConfigError("attach the recorder before running")

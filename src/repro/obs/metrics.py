@@ -186,6 +186,8 @@ class MetricsRegistry(Sink):
     """Derives histograms and time series from the event stream."""
 
     stats_key = "metrics"
+    consumes = frozenset(("task_end", "chunk_arrive", "mailbox_put",
+                          "mailbox_get", "sample", "knob_update"))
 
     def __init__(self, series_max_points: int = 2048) -> None:
         self.histograms: Dict[str, Histogram] = {

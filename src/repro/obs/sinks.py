@@ -17,13 +17,17 @@ Write your own by subclassing :class:`Sink`: ``open`` is called at
 attach time (runtime available for clock/topology metadata),
 ``on_event`` per event, ``close`` once at run end.  A sink that sets
 ``stats_key`` contributes a block to ``RunStats.snapshot()["obs"]`` via
-its ``snapshot()``.
+its ``snapshot()``.  A sink that reads only some event kinds declares
+them in ``consumes``; the bus then never builds or delivers the others
+to it.  Read an event's time from ``ev.t``, never from the runtime's
+clock: the collapsed steal round delivers its replayed events before
+the clock reaches their stamps.
 """
 
 from __future__ import annotations
 
 import json
-from typing import IO, TYPE_CHECKING, Dict, List, Optional
+from typing import IO, TYPE_CHECKING, Dict, FrozenSet, List, Optional
 
 from repro.errors import ConfigError
 
@@ -39,12 +43,15 @@ class Sink:
     #: Key under which :meth:`snapshot` is merged into the run snapshot's
     #: ``"obs"`` block; ``None`` opts out.
     stats_key: Optional[str] = None
+    #: Event kinds :meth:`on_event` reads; the bus routes only these to
+    #: the sink.  ``None`` (the default) delivers every kind.
+    consumes: Optional[FrozenSet[str]] = None
 
     def open(self, bus: "EventBus", rt: "SimRuntime") -> None:
         """Called once when the bus attaches to a runtime."""
 
     def on_event(self, ev: "ObsEvent") -> None:
-        """Called for every emitted event."""
+        """Called for every emitted event of a kind in :attr:`consumes`."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -125,6 +132,9 @@ class ChromeTraceSink(Sink):
     - per-place queue depths and outstanding steal requests as counter
       ("C") tracks, when the bus's sampler is enabled.
     """
+
+    consumes = frozenset(("task_end", "steal_request", "chunk_arrive",
+                          "fault", "sample"))
 
     def __init__(self, path: str) -> None:
         self.path = path

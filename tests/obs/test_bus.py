@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.cluster.topology import ClusterSpec
 from repro.errors import ConfigError
-from repro.obs import EVENT_SCHEMA, EventBus, InMemorySink
+from repro.obs import (EVENT_SCHEMA, ChromeTraceSink, EventBus, InMemorySink,
+                       MetricsRegistry)
 from repro.runtime.runtime import SimRuntime
 from repro.sched import make_scheduler
 
@@ -154,3 +157,130 @@ class TestSimulatedScheduleUnchanged:
         assert "obs" not in a
         b.pop("obs")
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+class _KindsSink(InMemorySink):
+    """Records the events of a narrow set of kinds."""
+
+    consumes = frozenset(("task_end", "steal_hit", "sample"))
+
+
+class TestRouting:
+    """Each event reaches only the sinks whose ``consumes`` names it."""
+
+    def test_narrow_sink_gets_only_its_kinds_in_order(self):
+        rt = make_rt()
+        bus = EventBus(sample_interval=50_000)
+        everything = bus.subscribe(InMemorySink())
+        narrow = bus.subscribe(_KindsSink())
+        bus.attach(rt)
+        rt.run(fanout_program(24, work=500_000))
+        want = [ev for ev in everything.events
+                if ev.kind in _KindsSink.consumes]
+        assert {ev.kind for ev in want} == _KindsSink.consumes
+        assert narrow.events == want
+
+    def test_unrouted_kinds_are_still_counted(self):
+        rt = make_rt()
+        bus = EventBus(sample_interval=50_000)
+        bus.subscribe(_KindsSink())
+        bus.attach(rt)
+        rt.run(fanout_program(24, work=500_000))
+        _, everything, _ = observed_run(sample_interval=50_000)
+        assert bus.counts == Counter(ev.kind for ev in everything.events)
+        assert set(bus.counts) > _KindsSink.consumes
+
+    def test_sink_subscribed_after_attach_is_routed(self):
+        rt = make_rt()
+        bus = EventBus(sample_interval=50_000)
+        everything = bus.subscribe(InMemorySink())
+        bus.attach(rt)
+        narrow = bus.subscribe(_KindsSink())
+        rt.run(fanout_program(24, work=500_000))
+        assert narrow.events == [ev for ev in everything.events
+                                 if ev.kind in _KindsSink.consumes]
+
+
+def _routed_run(metrics_cls, chrome_cls, recorder_cls, trace_path):
+    """A run that emits every kind a shipped sink reads (faults, a knob
+    controller and the sampler included), observed by one sink of each
+    class on one bus.  Returns the bus, the metrics snapshot, the Chrome
+    trace file's bytes and the recorded ``Trace``."""
+    from repro.apps import make_app
+    from repro.faults.injector import FaultInjector
+    from repro.faults.plan import FaultPlan
+    from repro.runtime.task import _reset_task_ids
+    from repro.tune.controllers import AIMDChunkController
+
+    _reset_task_ids()
+    spec = ClusterSpec(n_places=4, workers_per_place=2, max_threads=4)
+    rt = SimRuntime(spec, make_scheduler(
+        "DistWS", controller=AIMDChunkController()), seed=7)
+    FaultInjector(FaultPlan.parse(
+        "crash:p2@600000,loss:steal=0.05,seed:3")).attach(rt)
+    bus = EventBus(sample_interval=50_000)
+    metrics = bus.subscribe(metrics_cls())
+    bus.subscribe(chrome_cls(str(trace_path)))
+    bus.attach(rt)
+    recorder = recorder_cls(rt)
+    make_app("uts", scale="test", seed=12345).run(rt)
+    return (bus, metrics.snapshot(), trace_path.read_bytes(),
+            recorder.finalize())
+
+
+def test_shipped_sinks_unchanged_by_their_routing(tmp_path):
+    """A kind a shipped sink reads but left out of its ``consumes`` would
+    show here: each must produce what it produces when fed every kind."""
+    from repro.analysis.trace import TraceRecorder
+
+    class AllMetrics(MetricsRegistry):
+        consumes = None
+
+    class AllChrome(ChromeTraceSink):
+        consumes = None
+
+    class AllRecorder(TraceRecorder):
+        consumes = None
+
+    bus, metrics, chrome, trace = _routed_run(
+        MetricsRegistry, ChromeTraceSink, TraceRecorder,
+        tmp_path / "routed.json")
+    read = (MetricsRegistry.consumes | ChromeTraceSink.consumes
+            | TraceRecorder.consumes)
+    assert read <= set(bus.counts)
+    _, all_metrics, all_chrome, all_trace = _routed_run(
+        AllMetrics, AllChrome, AllRecorder, tmp_path / "all.json")
+    assert metrics == all_metrics
+    assert chrome == all_chrome
+    assert trace == all_trace
+    assert trace.tasks and trace.fault_events
+
+
+def test_sampled_outstanding_counts_every_concurrent_request():
+    """MultiStealWS keeps several requests in flight per worker: the
+    sampler's ``outstanding`` must count each ``(worker, victim)`` until
+    its miss, cancel or chunk arrival."""
+    from repro.apps import make_app
+
+    spec = ClusterSpec(n_places=8, workers_per_place=2, max_threads=4)
+    rt = SimRuntime(spec, make_scheduler("MultiStealWS", steal_width=3),
+                    seed=1)
+    bus = EventBus(sample_interval=50_000)
+    sink = bus.subscribe(InMemorySink())
+    bus.attach(rt)
+    make_app("uts", scale="test", seed=12345).run(rt)
+    assert bus.counts["steal_cancel"] > 0
+    pending = {}
+    wrong = samples = 0
+    for ev in sink.events:
+        f = ev.fields
+        key = (f.get("worker"), f.get("victim"))
+        if ev.kind == "steal_request":
+            pending.setdefault(f["place"], set()).add(key)
+        elif ev.kind in ("steal_miss", "steal_cancel", "chunk_arrive"):
+            pending.get(f["place"], set()).discard(key)
+        elif ev.kind == "sample":
+            samples += 1
+            wrong += f["outstanding"] != len(pending.get(f["place"], ()))
+    assert samples > 0
+    assert wrong == 0
