@@ -106,7 +106,7 @@ class DistWS(Scheduler):
             return base + costs.private_deque_op
         return base + costs.shared_deque_op
 
-    def _fast_remote_commit(self, worker: "Worker") -> None:
+    def _fast_remote_commit(self, worker: "Worker", t: float) -> None:
         # ``nearest`` victim order is deterministic (footnote 2's
         # distance-sorted list): an all-skip remote tier draws no RNG.
         if (self.distributed and self.rt.spec.n_places > 1

@@ -68,17 +68,22 @@ class LocalizedWS(DistWS):
                  <= self.steal_radius]
             for pi in range(spec.n_places)}
 
-    def _fast_remote_commit(self, worker: "Worker") -> None:
+    def _fast_remote_commit(self, worker: "Worker", t: float) -> None:
         # A collapsed all-skip round still consumes this round's victim
         # shuffle and advances the strike ledger exactly as find_work_tail
-        # would have: a fallback round draws the global order and clears
-        # the strikes; a regular (missed) round draws the radius order
-        # and adds a strike.
+        # would have: a fallback round emits radius_fallback at the
+        # round's end time, draws the global order and clears the
+        # strikes; a regular (missed) round draws the radius order and
+        # adds a strike.
         if self.rt.spec.n_places <= 1:
             return
         wid = worker.wid
         strikes = self._strikes.get(wid, 0)
         if strikes >= self.radius_strikes:
+            if self.rt.obs is not None:
+                self.rt.obs.emit_at(t, "radius_fallback", {
+                    "place": worker.place.place_id,
+                    "worker": worker.worker_index, "strikes": strikes})
             self._random_place_order(worker)
             self._strikes[wid] = 0
         else:
