@@ -82,7 +82,7 @@ def run_once(app_name: str, scheduler: str,
 
     ``fault_plan`` (a resolved :class:`~repro.faults.plan.FaultPlan`)
     attaches a fault injector to the run, for scripted chaos experiments;
-    the default ``None`` keeps the cell on the fault-free fast path.
+    the default ``None`` runs the cell fault-free.
 
     Routes through the active :mod:`repro.harness.parallel` execution
     context: with an experiment store installed, a repeated run (same

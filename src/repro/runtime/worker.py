@@ -20,7 +20,7 @@ paper's observation that stealing itself raises measured node utilization.
 from __future__ import annotations
 
 from heapq import heappush as _heappush
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Generator, List, Optional
 
 from repro.cluster.cache import LruCache
 from repro.runtime.deques import PrivateDeque
@@ -379,12 +379,12 @@ class Worker:
         # and no other heap entry comes due before the round would end,
         # the scheduler commits the round's counters, RNG draws and (with
         # an observer) replayed per-probe events in one call, and the
-        # kernel sleeps once to the round's end time.  It does not model
-        # the remote tier's fault hooks (steal timeouts, victim
-        # blacklist), so a fault plan turns it off; the scan below runs
-        # either way.
+        # kernel sleeps once to the round's end time.  Fault plans keep
+        # it: crashes and latency spikes are heap entries the quiescence
+        # guard refuses to cross, an all-skip remote tier sends nothing
+        # to lose, and stragglers act only inside execute().
         fast_round = None
-        if scheduler._fast_round_ok and rt.faults is None:
+        if scheduler._fast_round_ok:
             fast_round = scheduler.fast_round
         sleep_at = rt.env.sleep_at
         find_work_tail = scheduler.find_work_tail
@@ -436,17 +436,20 @@ class Worker:
         When a fault plan includes crashes, execution defers the *commit*
         (running the real body and spawning children) until after the
         work stall, so a fail-stop crash mid-task loses the task cleanly
-        — no real side effects, re-executable exactly once.  The default
-        path below is untouched when no injector is attached.
+        — no real side effects, re-executable exactly once.  An
+        interrupt after the commit finds ``task.committed`` set and the
+        injector counts the task as done instead.  Memory effects
+        (migrations, cache warming) happen before a deferred commit —
+        data movement, unlike computation results, survives a crash
+        honestly.  Without crashes the body runs before the memory
+        pricing and the task stalls once.
         """
         rt = self.runtime
-        faults = rt.faults
-        if faults is not None and faults.crash_safe:
-            yield from self._execute_crash_safe(task)
-            return
         env = rt.env
         costs = rt.costs
         place = self.place
+        faults = rt.faults
+        deferred = faults is not None and faults.crash_safe
         task.state = TaskState.RUNNING
         task.exec_place = place.place_id
         task.exec_worker = self.worker_index
@@ -480,17 +483,19 @@ class Worker:
                 for block in task.unique_blocks():
                     cost += rt.memory.migrate(block, place.place_id,
                                               warm_cache=self.cache)
-            # Run the real body; children are collected, not yet mapped.
-            ctx = TaskContext(rt, task, place.place_id, self.worker_index)
-            if task.body is not None:
-                task.body(ctx)
-            children = ctx.drain_children()
+            if not deferred:
+                children = self._commit(task)
             # Price every declared memory access at the executing place.
             for block in task.reads:
                 cost += rt.memory.access(place.place_id, self.cache, block)
             for block in task.writes:
                 cost += rt.memory.access(place.place_id, self.cache, block,
                                          write=True)
+            if deferred:
+                yield env.sleep(cost)
+                # ---- commit point: effects become visible atomically ----
+                children = self._commit(task)
+                cost = 0.0
             # Help-first: children become available as the parent continues.
             for child in children:
                 cost += costs.spawn_overhead
@@ -513,76 +518,12 @@ class Worker:
         self.tasks_run += 1
         rt.task_finished(task, self)
 
-    def _execute_crash_safe(self, task: Task) -> Generator[Event, object, None]:
-        """Deferred-commit execution for runs with planned crashes.
-
-        The work stall happens *first*; the real body runs, children are
-        spawned, and ``task.committed`` flips only at the commit point.
-        An interrupt (place crash) before the commit leaves no visible
-        effects: the fault injector re-executes the task on a survivor.
-        An interrupt after it finds ``committed`` set and counts the task
-        as done instead.  Memory effects (migrations, cache warming) may
-        partially happen before the commit — data movement, unlike
-        computation results, survives a crash honestly.
-        """
-        rt = self.runtime
-        env = rt.env
-        costs = rt.costs
-        place = self.place
-        faults = rt.faults
-        task.state = TaskState.RUNNING
-        task.exec_place = place.place_id
-        task.exec_worker = self.worker_index
-        if (rt.scheduler.enforces_locality and not task.is_flexible
-                and task.exec_place != task.home_place):
-            from repro.errors import SchedulerError
-            raise SchedulerError(
-                f"locality violation: sensitive task {task.task_id} "
-                f"(home p{task.home_place}) executing at "
-                f"p{task.exec_place} under {rt.scheduler.name}")
-        task.start_time = env.now
-        place.running_activities += 1
-        place.note_assignment()
-        self.executing = True
-        self.current_task = task
-        if rt.obs is not None:
-            rt.obs.emit("task_start", task=task.task_id,
-                        place=place.place_id, worker=self.worker_index)
-        try:
-            cost = task.work * faults.slow_factor(place.place_id)
-            remote = task.exec_place != task.home_place
-            if task.encapsulates:
-                for block in task.unique_blocks():
-                    cost += rt.memory.migrate(block, place.place_id,
-                                              warm_cache=self.cache)
-            for block in task.reads:
-                cost += rt.memory.access(place.place_id, self.cache, block)
-            for block in task.writes:
-                cost += rt.memory.access(place.place_id, self.cache, block,
-                                         write=True)
-            yield env.sleep(cost)
-            # ---- commit point: effects become visible atomically ----
-            ctx = TaskContext(rt, task, place.place_id, self.worker_index)
-            if task.body is not None:
-                task.body(ctx)
-            children = ctx.drain_children()
-            task.committed = True
-            post = 0.0
-            for child in children:
-                post += costs.spawn_overhead
-                post += rt.scheduler.mapping_cost(child)
-                rt.spawn(child, from_place=place.place_id,
-                         finish=task.finish, from_worker=self)
-            if remote:
-                for block in task.copy_back:
-                    post += rt.memory.copy_back(block, place.place_id)
-            yield env.sleep(post)
-        finally:
-            self.executing = False
-            self.current_task = None
-            place.running_activities -= 1
-        task.state = TaskState.DONE
-        task.end_time = env.now
-        self.task_cycles += env.now - task.start_time
-        self.tasks_run += 1
-        rt.task_finished(task, self)
+    def _commit(self, task: Task) -> List[Task]:
+        """Run the real body and mark ``task`` committed; its children
+        are collected, not yet mapped."""
+        ctx = TaskContext(self.runtime, task, self.place.place_id,
+                          self.worker_index)
+        if task.body is not None:
+            task.body(ctx)
+        task.committed = True
+        return ctx.drain_children()

@@ -263,26 +263,21 @@ class Scheduler(ABC):
         """
         rt = self.rt
         home = worker.place
-        faulty = rt.faults is not None
         for pj in victim_order:
             if pj == home.place_id:
                 raise SchedulerError("remote steal targeting own place")
             task = self._probe_mailbox(worker)
             if task is not None:
                 return task
-            if faulty and self._victim_blacklisted(pj):
+            if self._victim_blacklist and self._victim_blacklisted(pj):
                 # Recently unresponsive (crashed or lossy): skip until the
-                # blacklist entry decays.
+                # blacklist entry decays.  Only fault plans blacklist.
                 continue
             if self.uses_status_board and not rt.board.has_surplus(pj):
                 # The §VI-B status object says the place has nothing to
                 # steal: skip it without spending a round trip.
                 continue
-            if faulty:
-                task = yield from self._attempt_remote_steal_faulty(
-                    worker, pj)
-            else:
-                task = yield from self._attempt_remote_steal(worker, pj)
+            task = yield from self._attempt_remote_steal(worker, pj)
             if task is not None:
                 return task
         return None
@@ -327,7 +322,7 @@ class Scheduler(ABC):
 
     def _attempt_remote_steal(self, worker: "Worker", pj: int,
                               cancel: Optional[StealToken] = None) -> FindWork:
-        """One distributed steal attempt on victim ``pj`` (reliable net)."""
+        """One distributed steal attempt on victim ``pj``."""
         got = yield from self._remote_take(worker, pj, cancel)
         if got is None:
             return None
@@ -338,84 +333,32 @@ class Scheduler(ABC):
 
     def _remote_take(self, worker: "Worker", pj: int,
                      cancel: Optional[StealToken] = None) -> FindWork:
-        """Request/lock/take phase of a reliable-network distributed steal.
+        """Request/lock/take phase of a distributed steal.
 
         Returns ``(chunk, request_time)`` on a hit, ``None`` on a miss or
         cancellation; shipping the chunk home is the caller's job, so
         multi-steal helpers can run several takes concurrently while the
         thief itself performs the single ship.
+
+        The request and an empty reply travel unreliably
+        (:meth:`~repro.cluster.network.Network.send_unreliable`, which
+        always delivers when no fault plan is attached).  Under a fault
+        plan a drop (or a crashed victim) costs the thief a
+        ``steal_timeout`` wait, then a bounded number of retries with
+        exponential backoff; a victim that stays unresponsive is
+        blacklisted (``victim_blacklist_cycles``, doubling per
+        consecutive strike) so later rounds skip it until the entry
+        decays, and a successful steal resets the strikes.  The
+        cancellation token is re-checked before every (re)send so a
+        losing multi-steal helper stops burning retries once a sibling
+        has claimed work.
         """
         rt = self.rt
         env = rt.env
         costs = rt.costs
         st = rt.stats.steals
         obs = rt.obs
-        home = worker.place
-        victim = rt.places[pj]
-        st.remote_attempts += 1
-        request_time = env.now
-        if obs is not None:
-            obs.emit("steal_request", place=home.place_id,
-                     worker=worker.worker_index, victim=pj)
-        # Request message travels to the victim...
-        yield env.sleep(rt.network.send(
-            home.place_id, pj, 64, MSG_STEAL_REQUEST))
-        # ...the thief locks the victim's shared deque remotely...
-        yield victim.shared.lock.acquire()
-        try:
-            yield env.sleep(costs.remote_steal_service)
-            worker.charge_overhead(costs.remote_steal_service)
-            chunk, cancelled = self._take_locked(worker, victim, cancel)
-        finally:
-            victim.shared.lock.release()
-        if cancelled:
-            self._emit_cancel(worker, pj)
-            return None
-        if not chunk:
-            yield env.sleep(rt.network.send(
-                pj, home.place_id, 64, MSG_STEAL_REPLY))
-            if obs is not None:
-                obs.emit("steal_miss", place=home.place_id,
-                         worker=worker.worker_index, victim=pj)
-            self._note_steal_result(worker, False,
-                                    env.now - request_time, 0)
-            return None
-        return chunk, request_time
-
-    def _attempt_remote_steal_faulty(self, worker: "Worker", pj: int,
-                                     cancel: Optional[StealToken] = None,
-                                     ) -> FindWork:
-        """One distributed steal attempt under fault injection.
-
-        The request travels unreliably: a drop (or a crashed victim)
-        costs the thief a ``steal_timeout`` wait, then a bounded number
-        of retries with exponential backoff.  A victim that stays
-        unresponsive is blacklisted (``victim_blacklist_cycles``,
-        doubling per consecutive strike) so subsequent rounds skip it
-        until the entry decays; a successful steal resets the strikes.
-        """
-        got = yield from self._remote_take_faulty(worker, pj, cancel)
-        if got is None:
-            return None
-        chunk, request_time = got
-        task = yield from self._ship_chunk_home(worker, pj, chunk,
-                                                request_time=request_time)
-        return task
-
-    def _remote_take_faulty(self, worker: "Worker", pj: int,
-                            cancel: Optional[StealToken] = None) -> FindWork:
-        """Request/retry/take phase of a steal under fault injection.
-
-        Same contract as :meth:`_remote_take`; additionally re-checks the
-        cancellation token before every (re)send so a losing multi-steal
-        helper stops burning retries once a sibling has claimed work.
-        """
-        rt = self.rt
-        env = rt.env
-        costs = rt.costs
-        st = rt.stats.steals
-        obs = rt.obs
-        fstats = rt.faults.stats
+        faults = rt.faults
         home = worker.place
         victim = rt.places[pj]
         retries = 0
@@ -426,7 +369,7 @@ class Scheduler(ABC):
                                        or worker.place.dead):
                 self._emit_cancel(worker, pj)
                 return None
-            if rt.faults.is_dead(pj):
+            if faults is not None and faults.is_dead(pj):
                 self._blacklist_victim(pj)
                 if obs is not None and request_time is not None:
                     obs.emit("steal_miss", place=home.place_id,
@@ -450,7 +393,7 @@ class Scheduler(ABC):
             # The request vanished (dropped en route, or the victim died
             # under it): wait out the timeout, then back off and retry.
             yield env.sleep(costs.steal_timeout)
-            fstats.steal_timeouts += 1
+            faults.stats.steal_timeouts += 1
             if retries >= self.steal_max_retries:
                 self._blacklist_victim(pj)
                 if obs is not None:
@@ -460,8 +403,8 @@ class Scheduler(ABC):
                                         env.now - request_time, 0)
                 return None
             retries += 1
-            fstats.steal_retries += 1
-            fstats.backoff_cycles += backoff
+            faults.stats.steal_retries += 1
+            faults.stats.backoff_cycles += backoff
             yield env.sleep(backoff)
             backoff *= 2
         yield victim.shared.lock.acquire()
@@ -485,7 +428,7 @@ class Scheduler(ABC):
                 # The empty reply was lost; the thief learns nothing and
                 # pays the timeout before moving on.
                 yield env.sleep(costs.steal_timeout)
-                fstats.steal_timeouts += 1
+                faults.stats.steal_timeouts += 1
             if obs is not None:
                 obs.emit("steal_miss", place=home.place_id,
                          worker=worker.worker_index, victim=pj)
@@ -583,14 +526,19 @@ class Scheduler(ABC):
     #: co-located scan.  Only the audited built-in policies opt in; a
     #: subclass with a custom tail keeps the per-probe path unless it opts
     #: in itself.  It earns its place on the steal-storm workloads
-    #: (DESIGN.md §17); the worker loop uses it when no fault plan is
-    #: attached, observed or not (see ``Worker._run_loop``).
+    #: (DESIGN.md §17); the worker loop uses it in every run, observed or
+    #: faulted (see ``Worker._run_loop``).
     _fast_round_ok: bool = False
     #: Whether the tail includes the local shared-deque tier.
     _fast_shared_tier: bool = True
 
     def _fast_remote_ok(self, worker: "Worker") -> bool:
-        """Whether this round's remote tier is provably a no-op."""
+        """Whether this round's remote tier is provably a no-op.
+
+        The per-probe tier skips a victim that is blacklisted or has no
+        surplus; any surplus elsewhere refuses the collapse, blacklisted
+        victim or not, so an all-skip tier never depends on the blacklist.
+        """
         rt = self.rt
         if not self.distributed or rt.spec.n_places <= 1:
             return True
@@ -617,8 +565,8 @@ class Scheduler(ABC):
     def fast_round(self, worker: "Worker"):
         """Collapse one provably-failed steal round into a single sleep.
 
-        Called by the worker loop (no fault plan) *instead of* the steal
-        scan + :attr:`find_work_tail`.  When every tier is empty
+        Called by the worker loop *instead of* the steal scan +
+        :attr:`find_work_tail`.  When every tier is empty
         and no other heap entry comes due before the round would end, the
         round is a fixed script — a known sequence of sleeps, counter
         bumps, and RNG draws whose outcome is already determined — so this

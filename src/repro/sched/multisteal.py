@@ -77,7 +77,6 @@ class MultiStealWS(DistWS):
         rt = self.rt
         env = rt.env
         home = worker.place
-        faulty = rt.faults is not None
         idx, n = 0, len(victim_order)
         while idx < n:
             task = self._probe_mailbox(worker)
@@ -89,7 +88,7 @@ class MultiStealWS(DistWS):
                 idx += 1
                 if pj == home.place_id:
                     raise SchedulerError("remote steal targeting own place")
-                if faulty and self._victim_blacklisted(pj):
+                if self._victim_blacklist and self._victim_blacklisted(pj):
                     continue
                 if self.uses_status_board and not rt.board.has_surplus(pj):
                     continue
@@ -99,18 +98,13 @@ class MultiStealWS(DistWS):
             if len(batch) == 1:
                 # A lone eligible victim needs no token: fall back to the
                 # ordinary sequential attempt.
-                if faulty:
-                    task = yield from self._attempt_remote_steal_faulty(
-                        worker, batch[0])
-                else:
-                    task = yield from self._attempt_remote_steal(
-                        worker, batch[0])
+                task = yield from self._attempt_remote_steal(
+                    worker, batch[0])
                 if task is not None:
                     return task
                 continue
             token = self._make_token()
-            take = (self._remote_take_faulty if faulty
-                    else self._remote_take)
+            take = self._remote_take
             procs = [(pj, env.process(take(worker, pj, cancel=token)))
                      for pj in batch]
             pending = [proc for _, proc in procs]

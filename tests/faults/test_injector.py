@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.apgas import Apgas
+from repro.cluster.costmodel import CostModel
 from repro.cluster.topology import ClusterSpec
 from repro.errors import ConfigError, PlaceFailedError
 from repro.faults import FaultInjector, FaultPlan
 from repro.runtime.runtime import SimRuntime
-from repro.sched import DistWS
+from repro.sched import DistWS, X10WS
 
 from tests.faults.conftest import fanout_program
 
@@ -107,6 +109,80 @@ class TestCrashRecovery:
         assert sorted(executed) == list(range(N_TASKS))
         assert stats.faults.sensitive_degraded > 0
         stats_inj.ledger.assert_work_conserved()
+
+
+class TestDeferredCommit:
+    """Crash-planned runs run a task's body at the end of its work stall.
+
+    One locality-flexible task homed at p1 (X10WS: it runs there) stalls
+    for ``WORK`` cycles, then commits — runs its body, spawns its
+    children — and stalls again for the children's spawn overhead.  A
+    fault-free run calibrates the task's start time; the crash is then
+    timed into one stall or the other.
+    """
+
+    N_CHILDREN = 20
+
+    def _run(self, plan=None):
+        runs = []
+
+        def child(ctx):
+            runs.append(("child", ctx.place, ctx.now))
+
+        def parent(ctx):
+            runs.append(("parent", ctx.place, ctx.now))
+            for _ in range(self.N_CHILDREN):
+                ctx.spawn(child, place=0, flexible=True, work=1_000)
+
+        def program(rt):
+            Apgas(rt).async_at(1, parent, work=WORK, flexible=True)
+
+        rt = SimRuntime(spec(), X10WS(), seed=1)
+        inj = FaultInjector(plan).attach(rt) if plan is not None else None
+        stats = rt.run(program)
+        return runs, stats, inj
+
+    def _commit_time(self):
+        # Without crashes the body runs when the task starts; a deferred
+        # commit runs it one work stall later.
+        runs, _, _ = self._run()
+        (start,) = [t for kind, _, t in runs if kind == "parent"]
+        return start + WORK
+
+    def test_crash_in_work_stall_reexecutes_once_on_survivor(self):
+        crash_at = self._commit_time() - WORK / 2
+        runs, stats, inj = self._run(FaultPlan.parse(f"crash:p1@{crash_at}"))
+        parents = [(place, t) for kind, place, t in runs if kind == "parent"]
+        # The body never ran at p1; it ran exactly once, on a survivor,
+        # after the crash.
+        assert len(parents) == 1
+        place, t = parents[0]
+        assert place != 1 and t > crash_at
+        assert sum(kind == "child" for kind, _, _ in runs) == self.N_CHILDREN
+        assert stats.faults.tasks_lost == 1
+        assert stats.faults.tasks_reexecuted == 1
+        assert stats.faults.committed_at_crash == 0
+        inj.ledger.assert_work_conserved()
+        assert stats.tasks_executed == stats.tasks_spawned
+
+    def test_crash_in_spawn_stall_counts_committed_task(self):
+        commit_at = self._commit_time()
+        # Each child costs spawn overhead + X10WS's mapping cost.
+        costs = CostModel()
+        spawn_stall = self.N_CHILDREN * (costs.spawn_overhead
+                                         + costs.private_deque_op)
+        crash_at = commit_at + spawn_stall / 2
+        runs, stats, inj = self._run(FaultPlan.parse(f"crash:p1@{crash_at}"))
+        # The body ran exactly once, at p1, at the commit point — before
+        # the crash — and its children all ran once at p0.
+        assert [r for r in runs if r[0] == "parent"] == [
+            ("parent", 1, commit_at)]
+        assert [place for kind, place, _ in runs if kind == "child"] == [
+            0] * self.N_CHILDREN
+        assert stats.faults.committed_at_crash == 1
+        assert stats.faults.tasks_lost == 0
+        inj.ledger.assert_work_conserved()
+        assert stats.tasks_executed == stats.tasks_spawned
 
 
 class TestCrashDuringStealWindows:

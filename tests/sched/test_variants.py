@@ -12,6 +12,14 @@ Two halves of the registry-growth contract:
   introduction time with the same harness (4 places x 2 workers,
   ``scale="test"``, app seed 12345) as the kernel goldens.
 
+Each cell pins what a kernel golden pins: the bare run's
+``RunStats.snapshot()`` byte for byte, its ``events_processed``, and the
+SHA-256 of the ``JsonlSink`` stream of the same cell observed with
+``EventBus(sample_interval=100_000)`` + ``MetricsRegistry``.  The faulted
+cells are the only goldens that run MultiStealWS's token path and
+LocalizedWS under message loss, so they pin the remote steal take
+under fault plans down to the event stream.
+
 Regenerate deliberately after an intentional physics change::
 
     PYTHONPATH=src python -c "from tests.sched.test_variants import \
@@ -20,6 +28,8 @@ regenerate; regenerate()"
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import os
 
@@ -29,6 +39,7 @@ from repro.apps import make_app
 from repro.cluster.topology import ClusterSpec
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
+from repro.obs import EventBus, JsonlSink, MetricsRegistry
 from repro.runtime.runtime import SimRuntime
 from repro.runtime.task import _reset_task_ids
 from repro.sched import make_scheduler
@@ -54,7 +65,8 @@ CELL_KEYS = tuple(
 )
 
 
-def _snapshot_bytes(key: str) -> str:
+def _run_cell(key: str, stream: "io.StringIO | None" = None):
+    """Run one pinned cell; observed when ``stream`` is given."""
     parts = key.split("|")
     _reset_task_ids()
     topology = "ring" if parts[0] == "LocalizedWS" else "full"
@@ -64,13 +76,31 @@ def _snapshot_bytes(key: str) -> str:
     rt = SimRuntime(spec, sched, seed=int(parts[2]))
     if len(parts) > 3:
         FaultInjector(FaultPlan.parse(parts[3])).attach(rt)
+    if stream is not None:
+        bus = EventBus(sample_interval=100_000)
+        bus.subscribe(MetricsRegistry())
+        bus.subscribe(JsonlSink(stream=stream))
+        bus.attach(rt)
     app = make_app(parts[1], scale="test", seed=12345)
     stats = app.run(rt)
-    return json.dumps(stats.snapshot(), sort_keys=True, indent=1)
+    return stats.snapshot(), rt.env.events_processed
+
+
+def cell_record(key: str) -> dict:
+    """Bare snapshot + event count, and the observed run's stream hash."""
+    snapshot, events = _run_cell(key)
+    stream = io.StringIO()
+    _run_cell(key, stream)
+    return {
+        "snapshot": snapshot,
+        "events_processed": events,
+        "stream_sha256": hashlib.sha256(
+            stream.getvalue().encode()).hexdigest(),
+    }
 
 
 def regenerate() -> None:  # pragma: no cover - maintenance helper
-    cells = {key: json.loads(_snapshot_bytes(key)) for key in CELL_KEYS}
+    cells = {key: cell_record(key) for key in CELL_KEYS}
     with open(GOLDEN, "w") as fh:
         json.dump(cells, fh, sort_keys=True, indent=1)
         fh.write("\n")
@@ -86,5 +116,9 @@ def test_golden_covers_the_pinned_grid():
 
 @pytest.mark.parametrize("key", sorted(_GOLDEN_CELLS))
 def test_variant_matches_golden(key):
-    expected = json.dumps(_GOLDEN_CELLS[key], sort_keys=True, indent=1)
-    assert _snapshot_bytes(key) == expected
+    expected = _GOLDEN_CELLS[key]
+    got = cell_record(key)
+    assert (json.dumps(got["snapshot"], sort_keys=True, indent=1)
+            == json.dumps(expected["snapshot"], sort_keys=True, indent=1))
+    assert got["events_processed"] == expected["events_processed"]
+    assert got["stream_sha256"] == expected["stream_sha256"]

@@ -95,24 +95,38 @@ def test_fastpath_matches_pre_rewrite_golden(key):
     assert got["stream_sha256"] == expected["stream_sha256"]
 
 
-#: Observed replay cells: ``sched|app|seed`` and the policy's knobs.
-#: LocalizedWS with ``radius_strikes=1`` runs a fallback round every
-#: other failed round, so collapsed rounds must replay its
-#: ``radius_fallback`` events; MultiStealWS keeps DistWS's hooks.
+#: Observed replay cells: ``sched|app|seed[|fault plan]`` and the
+#: policy's knobs.  LocalizedWS with ``radius_strikes=1`` runs a fallback
+#: round every other failed round, so collapsed rounds must replay its
+#: ``radius_fallback`` events; MultiStealWS keeps DistWS's hooks.  The
+#: faulted cells run the collapse beside crashes (a heap entry the
+#: quiescence guard must not cross), steal-message loss and the victim
+#: blacklist.
 _REPLAY_CELLS = [
     ("DistWS|uts|1", {}),
     ("X10WS|turing|1", {}),
     ("LocalizedWS|uts|1", {"radius_strikes": 1}),
     ("MultiStealWS|uts|1", {"steal_width": 3}),
+    ("X10WS|turing|1|crash:p2@1500000,policy:relax,seed:3", {}),
+    ("DistWS|turing|1|crash:p2@1500000,policy:relax,loss:steal=0.1,seed:3",
+     {}),
+    ("LocalizedWS|uts|1|crash:p1@600000,loss:steal=0.1,seed:3",
+     {"radius_strikes": 1}),
+    ("MultiStealWS|uts|1|crash:p2@600000,loss:steal=0.1,seed:3",
+     {"steal_width": 3}),
+    # Half the steal messages lost: victims get blacklisted mid-run.
+    ("DistWS|uts|1|crash:p2@600000,loss:steal=0.5,seed:3", {}),
 ]
 
 
 def _observed_cell(key: str, knobs: dict, sample_interval: float):
     """Golden-spec run of ``key`` under MetricsRegistry + JsonlSink."""
-    sched, app, seed = key.split("|")
+    sched, app, seed, *plan = key.split("|")
     _reset_task_ids()
     spec = ClusterSpec(n_places=4, workers_per_place=2, max_threads=4)
     rt = SimRuntime(spec, make_scheduler(sched, **knobs), seed=int(seed))
+    if plan:
+        FaultInjector(FaultPlan.parse(plan[0])).attach(rt)
     bus = EventBus(sample_interval=sample_interval)
     bus.subscribe(MetricsRegistry())
     stream = io.StringIO()
@@ -128,8 +142,9 @@ def _observed_cell(key: str, knobs: dict, sample_interval: float):
                          ids=[key for key, _ in _REPLAY_CELLS])
 def test_collapsed_round_replays_observed_stream_exactly(key, knobs, interval,
                                                          monkeypatch):
-    """The collapsed failed round runs under an observer and replays the
-    per-probe round's events: stream, snapshot (obs block included) and
+    """The collapsed failed round runs under an observer, with or
+    without a fault plan, and replays the per-probe round's events:
+    stream, snapshot (obs and fault blocks included) and
     ``events_processed`` equal a run with the collapse turned off.  The
     7_919-cycle sampler fires samples from inside replays."""
     policy = type(make_scheduler(key.split("|")[0], **knobs))
@@ -144,7 +159,7 @@ def test_collapsed_round_replays_observed_stream_exactly(key, knobs, interval,
 
     monkeypatch.setattr(policy, "fast_round", counting_fast_round)
     fast = _observed_cell(key, knobs, interval)
-    assert collapsed, "no round collapsed under the observer"
+    assert collapsed, "no round collapsed"
     monkeypatch.setattr(policy, "_fast_round_ok", False)
     collapsed.clear()
     per_probe = _observed_cell(key, knobs, interval)
