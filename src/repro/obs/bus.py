@@ -31,6 +31,17 @@ stamps the current clock, while the sampler, the kernel-resident steal
 scan and the collapsed steal round (``Scheduler.fast_round``, which
 replays a round's per-probe events before the clock reaches them) pass
 their own stamp.
+
+Tallying: a batch of events of one kind is *count-only* when no
+subscribed sink consumes the kind, it is not a steal-lifecycle kind, and
+its last stamp falls before the next sample is due — dispatching it one
+event at a time would only bump ``counts``.  :meth:`EventBus.tally_at`
+records such a batch with one call and one schema check.  The two
+producers of ``steal_attempt`` batch: the collapsed round tallies its
+replayed attempts, and the kernel-resident steal scan holds its
+co-located attempts pending until the round ends (or anything else is
+emitted) and tallies them then.  Sinks see identical streams and
+``counts`` end identical.
 """
 
 from __future__ import annotations
@@ -134,6 +145,10 @@ class EventBus:
             raise ConfigError("bus already attached to a runtime")
         if self._clock is not None:
             raise ConfigError("bus already has a standalone clock")
+        if self.sample_interval is not None:
+            # The sampler reads the runtime's places; there are none.
+            raise ConfigError("a standalone bus cannot sample: "
+                              "construct it without sample_interval")
         self._clock = clock if clock is not None else time.time
         for sink in self._sinks:
             sink.open(self, None)
@@ -181,6 +196,38 @@ class EventBus:
                 sink.on_event(ev)
         if t >= self._next_sample and not self._sampling:
             self._sample(t)
+
+    def count_only(self, kind: str, t_last: float) -> bool:
+        """Whether a batch of ``kind`` events stamped up to ``t_last``
+        may be tallied: no sink reads it, it moves no outstanding-steal
+        ledger, and none of it would trigger a sample."""
+        return (not self._routes[kind] and kind not in _STEAL_LIFECYCLE
+                and t_last < self._next_sample)
+
+    def tally_at(self, t_last: float, kind: str,
+                 fields: Dict[str, object], n: int) -> None:
+        """Count ``n`` count-only events of ``kind``, the last stamped
+        ``t_last``, in one step.
+
+        ``fields`` is one event of the batch; it is checked against the
+        schema exactly as :meth:`emit_at` checks it.  Raises
+        :class:`ConfigError` for a batch that is not count-only (see
+        :meth:`count_only`): dispatching it event by event would do more
+        than count it.
+        """
+        names = _FIELD_SETS.get(kind)
+        if names is None:
+            raise ConfigError(f"unknown event kind {kind!r}")
+        if fields.keys() != names:
+            raise ConfigError(
+                f"event {kind!r} fields {sorted(fields)} do not match "
+                f"schema {list(EVENT_SCHEMA[kind])}")
+        if not self.count_only(kind, t_last):
+            raise ConfigError(
+                f"{kind!r} events stamped up to {t_last} are not "
+                "count-only: a sink reads them, they are steal-lifecycle "
+                "events, or a sample falls due among them")
+        self.counts[kind] += n
 
     def _sample(self, now: float) -> None:
         """Emit one ``sample`` event per place (re-entrancy guarded)."""

@@ -71,7 +71,8 @@ class _StealScan(KernelRound):
 
     __slots__ = ("worker", "st", "costs", "obs", "phase", "order", "idx",
                  "peers", "mailbox_get", "deque_pop", "idle", "park",
-                 "board", "gate", "fast_round", "gate_registered")
+                 "board", "gate", "fast_round", "gate_registered",
+                 "pending", "pending_t")
 
     def __init__(self, env, proc, worker: "Worker", park, board,
                  fast_round, idle: bool) -> None:
@@ -93,6 +94,10 @@ class _StealScan(KernelRound):
         self.gate = rt.done_gate
         self.fast_round = fast_round
         self.gate_registered = False
+        #: Count-only co-located attempts of the current round not yet
+        #: tallied on the bus, and the latest one's stamp.
+        self.pending = 0
+        self.pending_t = 0.0
         if idle:
             park.scan_owner = self
 
@@ -100,6 +105,7 @@ class _StealScan(KernelRound):
         """Detach (the worker's place crashed): never scan or wake again."""
         super().cancel()
         self.park.cancel()
+        self.flush_attempts()
 
     def begin(self) -> "_StealScan":
         """Arm the round's opening deque-op stall; yield ``self`` after."""
@@ -111,12 +117,39 @@ class _StealScan(KernelRound):
                   (env._now + self.costs.private_deque_op, env._seq, self._h))
         return self
 
-    def _emit_attempt(self) -> None:
+    def _attempt_fields(self, idx: int) -> dict:
         worker = self.worker
-        self.obs.emit_at(self.env._now, "steal_attempt", {
-            "tier": "local", "place": worker.place.place_id,
-            "worker": worker.worker_index,
-            "victim": self.peers[self.order[self.idx]].worker_index})
+        return {"tier": "local", "place": worker.place.place_id,
+                "worker": worker.worker_index,
+                "victim": self.peers[self.order[idx]].worker_index}
+
+    def _note_attempt(self, idx: int) -> None:
+        """Observe the co-located attempt on ``order[idx]`` (``self.idx``
+        still names the previous one): hold it pending while it is
+        count-only, otherwise emit it after tallying the pending ones."""
+        now = self.env._now
+        obs = self.obs
+        if obs.count_only("steal_attempt", now):
+            self.pending += 1
+            self.pending_t = now
+        else:
+            self.flush_attempts()
+            obs.emit_at(now, "steal_attempt", self._attempt_fields(idx))
+
+    def flush_attempts(self) -> None:
+        """Tally the pending attempts, the last of them on ``order[idx]``.
+
+        Called at every round exit (task in hand, ``SCAN_MISS``, a
+        failed round's park, ``cancel``), before any other emission of
+        the round, and by the runtime at run end for rounds the stop
+        cut short, so the bus's counts are current whenever anything
+        else is observed.
+        """
+        n = self.pending
+        if n:
+            self.pending = 0
+            self.obs.tally_at(self.pending_t, "steal_attempt",
+                              self._attempt_fields(self.idx), n)
 
     def step(self) -> None:
         # _arm() is inlined in every branch: this method fires hundreds of
@@ -139,15 +172,26 @@ class _StealScan(KernelRound):
                 return
             idx = self.idx + 1
             if idx < len(self.order):
-                self.idx = idx
                 self.st.local_attempts += 1
                 if self.obs is not None:
-                    self._emit_attempt()
+                    # _note_attempt's count-only case with
+                    # EventBus.count_only inlined: this is the one
+                    # per-probe cost an observer adds.
+                    obs = self.obs
+                    if (not obs._routes["steal_attempt"]
+                            and env._now < obs._next_sample):
+                        self.pending += 1
+                        self.pending_t = env._now
+                    else:
+                        self._note_attempt(idx)
+                self.idx = idx
                 env._seq += 1
                 env._arm[self._h] = env._seq
                 _heappush(env._queue, (env._now + costs.local_steal_attempt,
                                        env._seq, self._h))
                 return
+            if self.obs is not None:
+                self.flush_attempts()
             if self.idle:
                 self.park_failed_round()
             else:
@@ -176,7 +220,7 @@ class _StealScan(KernelRound):
                         self.idx = 0
                         self.st.local_attempts += 1
                         if self.obs is not None:
-                            self._emit_attempt()
+                            self._note_attempt(0)
                         self.phase = 1
                         env._seq += 1
                         env._arm[self._h] = env._seq
@@ -200,6 +244,7 @@ class _StealScan(KernelRound):
             worker.overhead_cycles += costs.local_steal_success
             self.st.local_hits += 1
             if self.obs is not None:
+                self.flush_attempts()
                 self.obs.emit("steal_hit", tier="local",
                               place=worker.place.place_id,
                               worker=worker.worker_index,
@@ -318,6 +363,8 @@ class Worker:
         self.steal_peers: "list[Worker] | None" = None
         self.place_victims_rng = None
         self.other_places: list[int] | None = None
+        #: This worker's steal scan (set when its loop starts).
+        self.scan: "_StealScan | None" = None
 
     def reset_backoff(self) -> None:
         """Re-arm the idle backoff at the runtime's (possibly tuned) base."""
@@ -391,9 +438,9 @@ class Worker:
         # One reusable park replaces the per-round AnyOf garbage; the
         # board a parking worker watches is fixed per policy.
         park = ParkRecord(rt.env, self.proc)
-        scan = _StealScan(rt.env, self.proc, self, park,
-                          scheduler.park_board(), fast_round,
-                          idle=find_work_tail is None)
+        scan = self.scan = _StealScan(rt.env, self.proc, self, park,
+                                      scheduler.park_board(), fast_round,
+                                      idle=find_work_tail is None)
         if find_work_tail is None:
             # No policy tier past the co-located scan: the whole idle
             # cycle — round, failed-round bookkeeping, park, wake — runs

@@ -585,7 +585,11 @@ class Scheduler(ABC):
         events with the stamps the per-probe round would give them: one
         ``steal_attempt`` (``tier="local"``) per co-located probe in the
         drawn victim order, then one ``tier="shared"`` attempt when the
-        policy has that tier.  The remote tier is the policy's own:
+        policy has that tier.  When those attempts are count-only
+        (:meth:`~repro.obs.bus.EventBus.count_only`: no sink reads the
+        kind and no sample falls due by the last one), one
+        :meth:`~repro.obs.bus.EventBus.tally_at` records them instead.
+        The remote tier is the policy's own:
         :meth:`_fast_remote_commit` commits it last and emits whatever
         events it has (LocalizedWS's ``radius_fallback``) at the round's
         end time.  The quiescence guard means no other process runs
@@ -647,19 +651,32 @@ class Scheduler(ABC):
         env._seq += n_seq - 1
         env.events_processed += n_seq - 1
         obs = rt.obs
-        if obs is not None:
+        if obs is not None and (n or shared_tier):
             pid = place.place_id
             wi = worker.worker_index
             stamp = env._now + costs.private_deque_op
-            for k in order.tolist():
-                obs.emit_at(stamp, "steal_attempt",
-                            {"tier": "local", "place": pid, "worker": wi,
-                             "victim": peers[k].worker_index})
-                stamp = stamp + la
-            if shared_tier:
-                obs.emit_at(stamp, "steal_attempt",
-                            {"tier": "shared", "place": pid, "worker": wi,
-                             "victim": pid})
+            # The last attempt's stamp, by the replay's own float adds.
+            last = stamp
+            for _ in range(n - 1 + shared_tier):
+                last = last + la
+            if obs.count_only("steal_attempt", last):
+                # The batch's schema check reads its last event.
+                obs.tally_at(last, "steal_attempt", (
+                    {"tier": "shared", "place": pid, "worker": wi,
+                     "victim": pid} if shared_tier else
+                    {"tier": "local", "place": pid, "worker": wi,
+                     "victim": peers[order[-1]].worker_index}),
+                    n + shared_tier)
+            else:
+                for k in order.tolist():
+                    obs.emit_at(stamp, "steal_attempt",
+                                {"tier": "local", "place": pid, "worker": wi,
+                                 "victim": peers[k].worker_index})
+                    stamp = stamp + la
+                if shared_tier:
+                    obs.emit_at(stamp, "steal_attempt",
+                                {"tier": "shared", "place": pid, "worker": wi,
+                                 "victim": pid})
         self._fast_remote_commit(worker, t)
         return t
 

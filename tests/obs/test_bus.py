@@ -75,6 +75,15 @@ class TestAttach:
         with pytest.raises(ConfigError):
             EventBus(sample_interval=-5)
 
+    def test_standalone_bus_cannot_sample(self):
+        """The sampler reads a runtime's places; a clock-only bus has
+        none, so it is refused up front instead of crashing on the first
+        emit."""
+        bus = EventBus(sample_interval=10)
+        bus.subscribe(InMemorySink())
+        with pytest.raises(ConfigError, match="sample_interval"):
+            bus.attach_clock(lambda: 0.0)
+
 
 class TestEmit:
     def test_unknown_kind_rejected(self):
@@ -199,6 +208,62 @@ class TestRouting:
         rt.run(fanout_program(24, work=500_000))
         assert narrow.events == [ev for ev in everything.events
                                  if ev.kind in _KindsSink.consumes]
+
+
+_ATTEMPT = {"tier": "local", "place": 0, "worker": 0, "victim": 1}
+
+
+def _tally_bus(sample_interval=None, sink=None):
+    """A bus attached to an unstarted runtime, read by ``sink`` (by
+    default one that reads no steal event)."""
+    bus = EventBus(sample_interval=sample_interval)
+    bus.subscribe(sink if sink is not None else _KindsSink())
+    bus.attach(make_rt())
+    return bus
+
+
+class TestTally:
+    """``tally_at`` counts a count-only batch and refuses anything else."""
+
+    def test_counts_the_batch(self):
+        bus = _tally_bus()
+        bus.tally_at(1_000.0, "steal_attempt", dict(_ATTEMPT), 7)
+        bus.tally_at(2_000.0, "steal_attempt", dict(_ATTEMPT), 2)
+        assert bus.counts == Counter(steal_attempt=9)
+
+    def test_wrong_fields_rejected(self):
+        bus = _tally_bus()
+        with pytest.raises(ConfigError, match="do not match"):
+            bus.tally_at(0.0, "steal_attempt", {"tier": "local"}, 3)
+        assert not bus.counts
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ConfigError, match="unknown"):
+            _tally_bus().tally_at(0.0, "nosuch_event", {}, 3)
+
+    def test_lifecycle_kind_rejected(self):
+        bus = _tally_bus()
+        with pytest.raises(ConfigError, match="count-only"):
+            bus.tally_at(0.0, "steal_request",
+                         {"place": 0, "worker": 0, "victim": 1}, 1)
+        assert not bus.counts
+
+    def test_consumed_kind_rejected(self):
+        bus = _tally_bus(sink=InMemorySink())
+        with pytest.raises(ConfigError, match="count-only"):
+            bus.tally_at(0.0, "steal_attempt", dict(_ATTEMPT), 3)
+        assert not bus.counts
+
+    def test_batch_reaching_a_due_sample_rejected(self):
+        bus = _tally_bus(sample_interval=1_000)
+        bus.emit_at(500.0, "task_start", {"task": 1, "place": 0,
+                                          "worker": 0})
+        assert bus.counts["sample"] == 4  # next sample due at 1_500
+        bus.tally_at(1_499.0, "steal_attempt", dict(_ATTEMPT), 2)
+        for t_last in (1_500.0, 9_000.0):
+            with pytest.raises(ConfigError, match="count-only"):
+                bus.tally_at(t_last, "steal_attempt", dict(_ATTEMPT), 2)
+        assert bus.counts["steal_attempt"] == 2
 
 
 def _routed_run(metrics_cls, chrome_cls, recorder_cls, trace_path):

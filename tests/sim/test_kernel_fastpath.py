@@ -34,6 +34,7 @@ import hashlib
 import io
 import json
 import os
+import sys
 
 import pytest
 
@@ -41,7 +42,7 @@ from repro.apps import make_app
 from repro.cluster.topology import ClusterSpec
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.obs import EventBus, JsonlSink, MetricsRegistry
+from repro.obs import EventBus, InMemorySink, JsonlSink, MetricsRegistry
 from repro.runtime.runtime import SimRuntime
 from repro.runtime.task import _reset_task_ids
 from repro.sched import make_scheduler
@@ -116,6 +117,9 @@ _REPLAY_CELLS = [
      {"steal_width": 3}),
     # Half the steal messages lost: victims get blacklisted mid-run.
     ("DistWS|uts|1|crash:p2@600000,loss:steal=0.5,seed:3", {}),
+    # The crash lands inside a co-located probe and the stop cuts another
+    # worker's round short: both hold attempts the scan has not tallied.
+    ("DistWS|uts|1|crash:p2@489027,seed:3", {}),
 ]
 
 
@@ -167,6 +171,78 @@ def test_collapsed_round_replays_observed_stream_exactly(key, knobs, interval,
     assert fast[0] == per_probe[0]
     assert fast[1] == per_probe[1]
     assert fast[2] == per_probe[2]
+
+
+#: A worker's own synchronous events: each follows a round exit, where
+#: the steal scan has tallied the round's pending attempts.
+_CHECKPOINTS = frozenset(("worker_park", "steal_hit", "task_start"))
+
+
+def _tally_cell(key: str, knobs: dict, sample_interval, everything: bool,
+                monkeypatch):
+    """Run ``key`` observed by MetricsRegistry, plus a consume-everything
+    sink when ``everything``.  Returns the ``obs`` block, the worker's own
+    ``steal_attempt`` count at each of its :data:`_CHECKPOINTS` events,
+    and the callers of :meth:`EventBus.tally_at`."""
+    emit_at, tally_at = EventBus.emit_at, EventBus.tally_at
+    attempts: dict = {}
+    checkpoints: list = []
+    tallied_by: set = set()
+
+    def counting_emit_at(self, t, kind, fields):
+        if kind == "steal_attempt":
+            who = (fields["place"], fields["worker"])
+            attempts[who] = attempts.get(who, 0) + 1
+        elif kind in _CHECKPOINTS:
+            who = (fields["place"], fields["worker"])
+            checkpoints.append((t, kind, who, attempts.get(who, 0)))
+        emit_at(self, t, kind, fields)
+
+    def counting_tally_at(self, t_last, kind, fields, n):
+        tally_at(self, t_last, kind, fields, n)
+        who = (fields["place"], fields["worker"])
+        attempts[who] = attempts.get(who, 0) + n
+        tallied_by.add(sys._getframe(1).f_code.co_name)
+
+    monkeypatch.setattr(EventBus, "emit_at", counting_emit_at)
+    monkeypatch.setattr(EventBus, "tally_at", counting_tally_at)
+    sched, app, seed, *plan = key.split("|")
+    _reset_task_ids()
+    spec = ClusterSpec(n_places=4, workers_per_place=2, max_threads=4)
+    rt = SimRuntime(spec, make_scheduler(sched, **knobs), seed=int(seed))
+    if plan:
+        FaultInjector(FaultPlan.parse(plan[0])).attach(rt)
+    bus = EventBus(sample_interval=sample_interval)
+    bus.subscribe(MetricsRegistry())
+    if everything:
+        bus.subscribe(InMemorySink())
+    bus.attach(rt)
+    stats = make_app(app, scale="test", seed=12345).run(rt)
+    monkeypatch.undo()
+    return stats.snapshot()["obs"], checkpoints, tallied_by
+
+
+@pytest.mark.parametrize("interval", [None, 100_000, 7_919])
+@pytest.mark.parametrize("key,knobs", _REPLAY_CELLS,
+                         ids=[key for key, _ in _REPLAY_CELLS])
+def test_tallied_attempts_match_dispatched_attempts(key, knobs, interval,
+                                                    monkeypatch):
+    """With no sink reading ``steal_attempt``, the collapsed round and
+    the steal scan tally attempts instead of dispatching each: the event
+    counts and the metrics block equal a run whose consume-everything
+    sink forces per-event dispatch, and at each of a worker's own park,
+    hit and task start it has counted exactly the attempts it had
+    dispatched by then (so every round exit, a crash's cancel included,
+    tallies its pending attempts).  The 7_919-cycle sampler falls due
+    inside rounds, where attempts must be dispatched one by one."""
+    tallied, tally_points, callers = _tally_cell(
+        key, knobs, interval, False, monkeypatch)
+    assert callers == {"fast_round", "flush_attempts"}
+    dispatched, dispatch_points, none = _tally_cell(
+        key, knobs, interval, True, monkeypatch)
+    assert not none
+    assert tallied == dispatched
+    assert tally_points == dispatch_points
 
 
 # -- bounded memory ---------------------------------------------------------

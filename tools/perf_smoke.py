@@ -15,7 +15,10 @@ least-contended sample).  Exits 1 when
 
 It also asserts correctness on the way: simulated metrics (makespan,
 steal counts, ...) must be *identical* between the two variants —
-observation may cost wall clock, never simulated behaviour.
+observation may cost wall clock, never simulated behaviour.  And the
+instrumented variant runs once more with a sink that reads every event
+kind, which turns off the bus's tallying of unread kinds: its event
+counts and metrics block must equal the tallied run's.
 
 Usage:
     PYTHONPATH=src python tools/perf_smoke.py \
@@ -36,10 +39,20 @@ sys.path.insert(0, os.path.join(
 
 from repro import ClusterSpec, SimRuntime, make_scheduler  # noqa: E402
 from repro.apps import make_app  # noqa: E402
-from repro.obs import ChromeTraceSink, EventBus, MetricsRegistry  # noqa: E402
+from repro.obs import (  # noqa: E402
+    ChromeTraceSink, EventBus, MetricsRegistry, Sink)
 
 
-def run_once(args, instrumented, trace_path=None):
+class EveryKindSink(Sink):
+    """Reads every event kind (and drops it): nothing is tallied."""
+
+    def on_event(self, ev) -> None:
+        pass
+
+
+def run_once(args, instrumented, trace_path=None, every_kind=False):
+    """One run; returns its wall time, its simulated metrics as JSON and
+    its ``obs`` block (``None`` when not instrumented)."""
     spec = ClusterSpec(n_places=args.places,
                        workers_per_place=args.workers,
                        max_threads=args.workers + 4)
@@ -50,14 +63,16 @@ def run_once(args, instrumented, trace_path=None):
         bus.subscribe(MetricsRegistry())
         if trace_path:
             bus.subscribe(ChromeTraceSink(trace_path))
+        if every_kind:
+            bus.subscribe(EveryKindSink())
         bus.attach(rt)
     app = make_app(args.app, scale=args.scale, seed=args.seed)
     t0 = time.perf_counter()
     stats = app.run(rt)
     elapsed = time.perf_counter() - t0
     snap = stats.snapshot()
-    snap.pop("obs", None)  # simulated metrics only
-    return elapsed, json.dumps(snap, sort_keys=True)
+    obs = snap.pop("obs", None)  # simulated metrics only
+    return elapsed, json.dumps(snap, sort_keys=True), obs
 
 
 def best_of(args, instrumented, trace_path=None):
@@ -65,14 +80,14 @@ def best_of(args, instrumented, trace_path=None):
     for rep in range(args.repeats):
         # Only the last instrumented repeat writes the trace artifact.
         path = trace_path if rep == args.repeats - 1 else None
-        elapsed, snap = run_once(args, instrumented, trace_path=path)
+        elapsed, snap, obs = run_once(args, instrumented, trace_path=path)
         times.append(elapsed)
         snaps.add(snap)
     if len(snaps) != 1:
         print("FAIL: repeats of the same configuration diverged "
               "(simulation is not deterministic?)", file=sys.stderr)
         raise SystemExit(1)
-    return min(times), next(iter(snaps))
+    return min(times), next(iter(snaps)), obs
 
 
 def main(argv=None) -> int:
@@ -93,9 +108,10 @@ def main(argv=None) -> int:
                         help="write the instrumented run's Chrome trace")
     args = parser.parse_args(argv)
 
-    base_t, base_snap = best_of(args, instrumented=False)
-    inst_t, inst_snap = best_of(args, instrumented=True,
-                                trace_path=args.chrome_trace)
+    base_t, base_snap, _ = best_of(args, instrumented=False)
+    inst_t, inst_snap, inst_obs = best_of(args, instrumented=True,
+                                          trace_path=args.chrome_trace)
+    _, _, every_obs = run_once(args, instrumented=True, every_kind=True)
     ratio = inst_t / base_t if base_t > 0 else float("inf")
 
     print(f"baseline     : best of {args.repeats} = {base_t * 1e3:8.1f} ms")
@@ -108,11 +124,18 @@ def main(argv=None) -> int:
         print("\nFAIL: instrumentation changed simulated metrics — the "
               "event bus must be observation-only", file=sys.stderr)
         return 1
+    for key in ("events", "metrics"):
+        if inst_obs[key] != every_obs[key]:
+            print(f"\nFAIL: obs {key!r} differ once a sink reads every "
+                  "kind — tallied events must count as dispatched ones",
+                  file=sys.stderr)
+            return 1
     if ratio > args.max_overhead:
         print(f"\nFAIL: observability overhead {ratio:.2f}x exceeds the "
               f"{args.max_overhead:.2f}x bound", file=sys.stderr)
         return 1
-    print("\nOK: simulated metrics identical, overhead within bound")
+    print("\nOK: simulated metrics identical, tallied counts and metrics "
+          "match per-event dispatch, overhead within bound")
     return 0
 
 
