@@ -32,16 +32,17 @@ scan and the collapsed steal round (``Scheduler.fast_round``, which
 replays a round's per-probe events before the clock reaches them) pass
 their own stamp.
 
-Tallying: a batch of events of one kind is *count-only* when no
-subscribed sink consumes the kind, it is not a steal-lifecycle kind, and
-its last stamp falls before the next sample is due — dispatching it one
-event at a time would only bump ``counts``.  :meth:`EventBus.tally_at`
-records such a batch with one call and one schema check.  The two
-producers of ``steal_attempt`` batch: the collapsed round tallies its
-replayed attempts, and the kernel-resident steal scan holds its
-co-located attempts pending until the round ends (or anything else is
-emitted) and tallies them then.  Sinks see identical streams and
-``counts`` end identical.
+Tallying: events of one kind are *count-only* when no subscribed sink
+consumes the kind, it is not a steal-lifecycle kind, and the last of
+them is stamped before the next sample is due — dispatching them one
+event at a time would only bump ``counts``.  :meth:`EventBus.tally`
+counts such events in one call and tells its caller to dispatch them
+itself otherwise.  The two producers of ``steal_attempt`` use it: the
+collapsed round tallies its replayed attempts in one call, and the
+steal scan counts each co-located attempt the moment it probes (its
+phase-1 probe inlines the same test).  ``counts`` is read only by
+:meth:`EventBus.snapshot`, so sinks see identical streams and the
+snapshot identical counts.
 """
 
 from __future__ import annotations
@@ -197,37 +198,23 @@ class EventBus:
         if t >= self._next_sample and not self._sampling:
             self._sample(t)
 
-    def count_only(self, kind: str, t_last: float) -> bool:
-        """Whether a batch of ``kind`` events stamped up to ``t_last``
-        may be tallied: no sink reads it, it moves no outstanding-steal
-        ledger, and none of it would trigger a sample."""
-        return (not self._routes[kind] and kind not in _STEAL_LIFECYCLE
-                and t_last < self._next_sample)
+    def tally(self, kind: str, t_last: float, n: int = 1) -> bool:
+        """Count ``n`` events of ``kind``, the last stamped ``t_last``,
+        when they are count-only; return whether they were counted.
 
-    def tally_at(self, t_last: float, kind: str,
-                 fields: Dict[str, object], n: int) -> None:
-        """Count ``n`` count-only events of ``kind``, the last stamped
-        ``t_last``, in one step.
-
-        ``fields`` is one event of the batch; it is checked against the
-        schema exactly as :meth:`emit_at` checks it.  Raises
-        :class:`ConfigError` for a batch that is not count-only (see
-        :meth:`count_only`): dispatching it event by event would do more
-        than count it.
+        Count-only means no sink reads the kind, it moves no
+        outstanding-steal ledger, and none of the events would trigger
+        a sample.  Otherwise nothing is counted and the caller
+        dispatches each event through :meth:`emit_at`.
         """
-        names = _FIELD_SETS.get(kind)
-        if names is None:
+        routes = self._routes.get(kind)
+        if routes is None:
             raise ConfigError(f"unknown event kind {kind!r}")
-        if fields.keys() != names:
-            raise ConfigError(
-                f"event {kind!r} fields {sorted(fields)} do not match "
-                f"schema {list(EVENT_SCHEMA[kind])}")
-        if not self.count_only(kind, t_last):
-            raise ConfigError(
-                f"{kind!r} events stamped up to {t_last} are not "
-                "count-only: a sink reads them, they are steal-lifecycle "
-                "events, or a sample falls due among them")
+        if (routes or kind in _STEAL_LIFECYCLE
+                or t_last >= self._next_sample):
+            return False
         self.counts[kind] += n
+        return True
 
     def _sample(self, now: float) -> None:
         """Emit one ``sample`` event per place (re-entrancy guarded)."""

@@ -210,16 +210,8 @@ class SimRuntime:
         if self.faults is not None:
             st.faults = self.faults.stats
         if self.obs is not None:
-            # Tally the co-located attempts of rounds the stop cut short
-            # (a crashed place's scans tallied theirs when cancelled),
-            # summarize into the snapshot, then flush file-backed sinks
+            # Summarize into the snapshot, then flush file-backed sinks
             # (JSONL, Chrome trace) so exports land without extra calls.
-            for place in self.places:
-                if place.dead:
-                    continue
-                for worker in place.workers:
-                    if worker.scan is not None:
-                        worker.scan.flush_attempts()
             st.obs = self.obs.snapshot()
             self.obs.close()
 

@@ -44,38 +44,27 @@ class _StealScan(KernelRound):
     ``sleep`` in the worker's generator would have taken, and performs
     its side effects — counters, RNG draws, observer events — in the
     order a generator would; see :class:`~repro.sim.engine.KernelRound`
-    for the byte-identity contract.  Resolves with the acquired task, or with ``SCAN_MISS`` so
-    the worker's generator runs the policy tail (shared deque, remote
-    steals) in ordinary yielded-event style.  It runs the same way with
-    or without an observer or a fault plan attached.
+    for the byte-identity contract.  Resolves with the acquired task, or
+    with ``SCAN_MISS`` so the worker's generator runs the policy tail
+    (shared deque, remote steals) or, for a policy without one, its
+    failed round.  It runs the same way with or without an observer or
+    a fault plan attached; each co-located attempt is counted on the
+    bus (or dispatched, when a sink reads it) the moment it is made.
 
     Phases: 0 = the private-deque-op stall fired (pop own deque, probe
     the mailbox, open the co-located scan); 1 = one co-located probe
     fired (attempt the steal, advance or miss out); 2 = the
-    steal-success stall fired (settle the stolen task); 3 = a collapsed
-    round's end stall fired (idle mode: park straight from the kernel).
+    steal-success stall fired (settle the stolen task).
 
     During the steal-success stall the stolen task sits on
     ``worker.pending_chunk``, so a crash of the thief's place inside the
     stall relocates it like any queued work.
-
-    **Idle mode** (``idle=True``): for a scheduler with no policy tail
-    past the co-located tier (``find_work_tail is None``), the *whole*
-    idle cycle — failed round, park, wake, next round — runs
-    kernel-resident.  A miss performs the failed-round bookkeeping and
-    parks the worker without resuming the generator; the park delivers
-    its wake cause to :meth:`on_wake`, which starts the next round (or a
-    collapsed one) in place.  The generator resumes only with a task in
-    hand, or with ``None`` once the termination gate opens.
     """
 
     __slots__ = ("worker", "st", "costs", "obs", "phase", "order", "idx",
-                 "peers", "mailbox_get", "deque_pop", "idle", "park",
-                 "board", "gate", "fast_round", "gate_registered",
-                 "pending", "pending_t")
+                 "peers", "mailbox_get", "deque_pop")
 
-    def __init__(self, env, proc, worker: "Worker", park, board,
-                 fast_round, idle: bool) -> None:
+    def __init__(self, env, proc, worker: "Worker") -> None:
         super().__init__(env, proc)
         self.worker = worker
         rt = worker.runtime
@@ -88,24 +77,6 @@ class _StealScan(KernelRound):
         self.peers: "list[Worker] | None" = None
         self.mailbox_get = worker.place.mailbox.try_get
         self.deque_pop = worker.deque.pop
-        self.idle = idle
-        self.park = park
-        self.board = board
-        self.gate = rt.done_gate
-        self.fast_round = fast_round
-        self.gate_registered = False
-        #: Count-only co-located attempts of the current round not yet
-        #: tallied on the bus, and the latest one's stamp.
-        self.pending = 0
-        self.pending_t = 0.0
-        if idle:
-            park.scan_owner = self
-
-    def cancel(self) -> None:
-        """Detach (the worker's place crashed): never scan or wake again."""
-        super().cancel()
-        self.park.cancel()
-        self.flush_attempts()
 
     def begin(self) -> "_StealScan":
         """Arm the round's opening deque-op stall; yield ``self`` after."""
@@ -117,39 +88,13 @@ class _StealScan(KernelRound):
                   (env._now + self.costs.private_deque_op, env._seq, self._h))
         return self
 
-    def _attempt_fields(self, idx: int) -> dict:
+    def _emit_attempt(self, idx: int) -> None:
+        """Dispatch the co-located attempt on ``order[idx]``."""
         worker = self.worker
-        return {"tier": "local", "place": worker.place.place_id,
-                "worker": worker.worker_index,
-                "victim": self.peers[self.order[idx]].worker_index}
-
-    def _note_attempt(self, idx: int) -> None:
-        """Observe the co-located attempt on ``order[idx]`` (``self.idx``
-        still names the previous one): hold it pending while it is
-        count-only, otherwise emit it after tallying the pending ones."""
-        now = self.env._now
-        obs = self.obs
-        if obs.count_only("steal_attempt", now):
-            self.pending += 1
-            self.pending_t = now
-        else:
-            self.flush_attempts()
-            obs.emit_at(now, "steal_attempt", self._attempt_fields(idx))
-
-    def flush_attempts(self) -> None:
-        """Tally the pending attempts, the last of them on ``order[idx]``.
-
-        Called at every round exit (task in hand, ``SCAN_MISS``, a
-        failed round's park, ``cancel``), before any other emission of
-        the round, and by the runtime at run end for rounds the stop
-        cut short, so the bus's counts are current whenever anything
-        else is observed.
-        """
-        n = self.pending
-        if n:
-            self.pending = 0
-            self.obs.tally_at(self.pending_t, "steal_attempt",
-                              self._attempt_fields(self.idx), n)
+        self.obs.emit_at(self.env._now, "steal_attempt", {
+            "tier": "local", "place": worker.place.place_id,
+            "worker": worker.worker_index,
+            "victim": self.peers[self.order[idx]].worker_index})
 
     def step(self) -> None:
         # _arm() is inlined in every branch: this method fires hundreds of
@@ -174,28 +119,21 @@ class _StealScan(KernelRound):
             if idx < len(self.order):
                 self.st.local_attempts += 1
                 if self.obs is not None:
-                    # _note_attempt's count-only case with
-                    # EventBus.count_only inlined: this is the one
-                    # per-probe cost an observer adds.
+                    # EventBus.tally inlined: this is the one per-probe
+                    # cost an observer adds.
                     obs = self.obs
                     if (not obs._routes["steal_attempt"]
                             and env._now < obs._next_sample):
-                        self.pending += 1
-                        self.pending_t = env._now
+                        obs.counts["steal_attempt"] += 1
                     else:
-                        self._note_attempt(idx)
+                        self._emit_attempt(idx)
                 self.idx = idx
                 env._seq += 1
                 env._arm[self._h] = env._seq
                 _heappush(env._queue, (env._now + costs.local_steal_attempt,
                                        env._seq, self._h))
                 return
-            if self.obs is not None:
-                self.flush_attempts()
-            if self.idle:
-                self.park_failed_round()
-            else:
-                self._resolve(SCAN_MISS)
+            self._resolve(SCAN_MISS)
         elif phase == 0:
             worker.overhead_cycles += costs.private_deque_op
             task = self.deque_pop()
@@ -219,8 +157,9 @@ class _StealScan(KernelRound):
                         self.order = order
                         self.idx = 0
                         self.st.local_attempts += 1
-                        if self.obs is not None:
-                            self._note_attempt(0)
+                        if (self.obs is not None and
+                                not self.obs.tally("steal_attempt", env._now)):
+                            self._emit_attempt(0)
                         self.phase = 1
                         env._seq += 1
                         env._arm[self._h] = env._seq
@@ -228,10 +167,7 @@ class _StealScan(KernelRound):
                                   (env._now + costs.local_steal_attempt,
                                    env._seq, self._h))
                         return
-                    if self.idle:
-                        self.park_failed_round()
-                    else:
-                        self._resolve(SCAN_MISS)
+                    self._resolve(SCAN_MISS)
                     return
                 self.st.mailbox_hits += 1
                 if self.obs is not None:
@@ -239,12 +175,11 @@ class _StealScan(KernelRound):
                                   worker=worker.worker_index,
                                   task=task.task_id)
             self._resolve(task)
-        elif phase == 2:
+        else:
             # The steal-success stall fired; settle the task.
             worker.overhead_cycles += costs.local_steal_success
             self.st.local_hits += 1
             if self.obs is not None:
-                self.flush_attempts()
                 self.obs.emit("steal_hit", tier="local",
                               place=worker.place.place_id,
                               worker=worker.worker_index,
@@ -253,75 +188,6 @@ class _StealScan(KernelRound):
             # Out of pending_chunk and into execute() (which makes it the
             # current_task) with no yield in between.
             self._resolve(worker.pending_chunk.pop())
-        else:
-            # Phase 3 (idle mode): a collapsed round's end stall fired —
-            # the round failed.
-            self.park_failed_round()
-
-    def park_failed_round(self) -> None:
-        """Failed-round bookkeeping, then arm the worker's park.
-
-        Outside idle mode the worker's generator calls this and then
-        yields the park itself; in idle mode the scan calls it on a miss.
-        """
-        worker = self.worker
-        place = worker.place
-        rt = worker.runtime
-        place.note_failed_steal()
-        rt.scheduler.note_failed_round(worker)
-        self.st.failed_rounds += 1
-        if self.obs is not None:
-            self.obs.emit("worker_park", place=place.place_id,
-                          worker=worker.worker_index,
-                          backoff=worker._backoff)
-        park = self.park
-        gate = self.gate
-        park.begin(worker._backoff, gate.is_open)
-        if not self.gate_registered:
-            # The gate fires at most once (termination), so the park
-            # registers exactly once — no per-round waiter leak.
-            gate.register_park(park)
-            self.gate_registered = True
-        place.add_park_waiter(park)
-        if self.board is not None:
-            self.board.add_park_waiter(park)
-        # Backoff is read by the runtime's idle parameters live: online
-        # controllers may retune base/cap mid-run.
-        worker._backoff = min(worker._backoff * 2, rt.idle_backoff_cap)
-
-    # -- kernel-resident idle loop (tail-less schedulers) ---------------------
-    def begin_idle(self) -> "_StealScan":
-        """Open a round in idle mode; yield ``self`` afterwards.
-
-        A collapsible round (every tier provably empty, heap quiescent)
-        arms one stall at the round's end — the seq a generator's
-        ``sleep_at`` would consume — otherwise the ordinary scan opens
-        with the deque-op stall.
-        """
-        fr = self.fast_round
-        if fr is not None:
-            due = fr(self.worker)
-            if due is not None:
-                self.phase = 3
-                env = self.env
-                env._seq += 1
-                env._arm[self._h] = env._seq
-                _heappush(env._queue, (due, env._seq, self._h))
-                return self
-        return self.begin()
-
-    def on_wake(self, cause) -> None:
-        """The park's wake hop landed: restart the round in the kernel.
-
-        Backoff reset on a work wake, the loop-top gate check (resolving
-        ``None`` hands the generator its exit), then the next round.
-        """
-        if cause is CAUSE_WORK:
-            self.worker._backoff = self.worker.runtime.idle_backoff_base
-        if self.gate.is_open:
-            self._resolve(None)
-            return
-        self.begin_idle()
 
 
 class Worker:
@@ -363,8 +229,6 @@ class Worker:
         self.steal_peers: "list[Worker] | None" = None
         self.place_victims_rng = None
         self.other_places: list[int] | None = None
-        #: This worker's steal scan (set when its loop starts).
-        self.scan: "_StealScan | None" = None
 
     def reset_backoff(self) -> None:
         """Re-arm the idle backoff at the runtime's (possibly tuned) base."""
@@ -418,10 +282,21 @@ class Worker:
             raise
 
     def _run_loop(self) -> Generator[Event, object, None]:
+        """Algorithm 1's idle loop, the same for every policy.
+
+        Each round is the kernel-resident steal scan, then the policy's
+        :attr:`~repro.sched.base.Scheduler.find_work_tail` (if it has
+        one) on a scan miss; a round that finds nothing records a failed
+        round and parks the worker until work arrives, its backoff
+        expires, the status board signals surplus or the computation
+        terminates.
+        """
         rt = self.runtime
         place = self.place
         gate = rt.done_gate
         scheduler = rt.scheduler
+        steals = rt.stats.steals
+        obs = rt.obs
         # Collapsed probe round: when every steal tier is provably empty
         # and no other heap entry comes due before the round would end,
         # the scheduler commits the round's counters, RNG draws and (with
@@ -438,23 +313,9 @@ class Worker:
         # One reusable park replaces the per-round AnyOf garbage; the
         # board a parking worker watches is fixed per policy.
         park = ParkRecord(rt.env, self.proc)
-        scan = self.scan = _StealScan(rt.env, self.proc, self, park,
-                                      scheduler.park_board(), fast_round,
-                                      idle=find_work_tail is None)
-        if find_work_tail is None:
-            # No policy tier past the co-located scan: the whole idle
-            # cycle — round, failed-round bookkeeping, park, wake — runs
-            # kernel-resident.  The generator resumes per *task*, not per
-            # round: with a task in hand, or with None at termination.
-            while not gate.is_open:
-                if place.dead:
-                    return
-                task = yield scan.begin_idle()
-                if task is None:
-                    continue
-                self._backoff = rt.idle_backoff_base
-                yield from self.execute(task)
-            return
+        board = scheduler.park_board()
+        scan = _StealScan(rt.env, self.proc, self)
+        gate_registered = False
         while not gate.is_open:
             if place.dead:
                 return
@@ -464,13 +325,32 @@ class Worker:
             else:
                 task = yield scan.begin()
                 if task is SCAN_MISS:
-                    task = yield from find_work_tail(self)
+                    task = None
+                    if find_work_tail is not None:
+                        task = yield from find_work_tail(self)
             if task is not None:
                 self._backoff = rt.idle_backoff_base
                 yield from self.execute(task)
                 continue
             # Nothing anywhere: failed round, then back off.
-            scan.park_failed_round()
+            place.note_failed_steal()
+            scheduler.note_failed_round(self)
+            steals.failed_rounds += 1
+            if obs is not None:
+                obs.emit("worker_park", place=place.place_id,
+                         worker=self.worker_index, backoff=self._backoff)
+            park.begin(self._backoff, gate.is_open)
+            if not gate_registered:
+                # The gate fires at most once (termination), so the park
+                # registers exactly once — no per-round waiter leak.
+                gate.register_park(park)
+                gate_registered = True
+            place.add_park_waiter(park)
+            if board is not None:
+                board.add_park_waiter(park)
+            # Backoff is read by the runtime's idle parameters live:
+            # online controllers may retune base/cap mid-run.
+            self._backoff = min(self._backoff * 2, rt.idle_backoff_cap)
             cause = yield park
             if cause is CAUSE_WORK:
                 # Work arrived at this place: search eagerly again.

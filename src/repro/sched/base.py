@@ -200,8 +200,8 @@ class Scheduler(ABC):
     #: universal tiers (mailbox probe, co-located steal) have missed: a
     #: generator method, or ``None`` when the policy has no further tiers
     #: (X10WS).  The universal prefix runs kernel-resident in the
-    #: worker's :class:`~repro.runtime.worker._StealScan`; a ``None`` tail
-    #: lets the whole idle cycle stay in the kernel.
+    #: worker's :class:`~repro.runtime.worker._StealScan`; with a ``None``
+    #: tail a co-located miss is a failed round.
     find_work_tail = None
 
     # -- shared steal tiers -------------------------------------------------------
@@ -585,10 +585,10 @@ class Scheduler(ABC):
         events with the stamps the per-probe round would give them: one
         ``steal_attempt`` (``tier="local"``) per co-located probe in the
         drawn victim order, then one ``tier="shared"`` attempt when the
-        policy has that tier.  When those attempts are count-only
-        (:meth:`~repro.obs.bus.EventBus.count_only`: no sink reads the
-        kind and no sample falls due by the last one), one
-        :meth:`~repro.obs.bus.EventBus.tally_at` records them instead.
+        policy has that tier.  One
+        :meth:`~repro.obs.bus.EventBus.tally` counts those attempts
+        instead when they are count-only (no sink reads the kind and no
+        sample falls due by the last one).
         The remote tier is the policy's own:
         :meth:`_fast_remote_commit` commits it last and emits whatever
         events it has (LocalizedWS's ``radius_fallback``) at the round's
@@ -659,15 +659,7 @@ class Scheduler(ABC):
             last = stamp
             for _ in range(n - 1 + shared_tier):
                 last = last + la
-            if obs.count_only("steal_attempt", last):
-                # The batch's schema check reads its last event.
-                obs.tally_at(last, "steal_attempt", (
-                    {"tier": "shared", "place": pid, "worker": wi,
-                     "victim": pid} if shared_tier else
-                    {"tier": "local", "place": pid, "worker": wi,
-                     "victim": peers[order[-1]].worker_index}),
-                    n + shared_tier)
-            else:
+            if not obs.tally("steal_attempt", last, n + shared_tier):
                 for k in order.tolist():
                     obs.emit_at(stamp, "steal_attempt",
                                 {"tier": "local", "place": pid, "worker": wi,

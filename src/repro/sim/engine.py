@@ -456,15 +456,9 @@ class Environment:
                             elif st == PARK_RESUMING:
                                 pstate[h] = PARK_IDLE
                                 arm[h] = -1
-                                rec = obj[h]
-                                cause = _CAUSES[self._pcause[h]]
-                                owner = rec.scan_owner
-                                if owner is not None:
-                                    owner.on_wake(cause)
-                                else:
-                                    proc = rec.process
-                                    proc._waiting_on = None
-                                    proc._step_send(cause)
+                                proc = obj[h].process
+                                proc._waiting_on = None
+                                proc._step_send(_CAUSES[self._pcause[h]])
                     elif k == K_PROBE:
                         obj[h]._probe_pop(seq)
                     # K_FREE: stale entry for a recycled handle — skip.
@@ -519,17 +513,12 @@ class ParkRecord(object):
     popped their no-op ``succeed``.
     """
 
-    __slots__ = ("env", "process", "round", "scan_owner", "_h", "_hp",
-                 "_deadline", "_deadline_seq", "_dues")
+    __slots__ = ("env", "process", "round", "_h", "_hp", "_deadline",
+                 "_deadline_seq", "_dues")
 
     def __init__(self, env: Environment, process: "Process") -> None:
         self.env = env
         self.process = process
-        #: When a kernel-resident idle loop owns this park (tail-less
-        #: schedulers), wake causes are delivered to
-        #: ``scan_owner.on_wake(cause)`` instead of resuming the worker's
-        #: generator — the round restarts entirely inside the kernel.
-        self.scan_owner = None
         #: Monotone park-round counter; waiter-list entries carry the round
         #: they were registered for, so entries from earlier rounds are
         #: recognizably stale without being unlinked.
@@ -628,14 +617,9 @@ class ParkRecord(object):
         elif st == PARK_RESUMING:
             env._pstate[h] = PARK_IDLE
             env._arm[h] = -1
-            cause = _CAUSES[env._pcause[h]]
-            owner = self.scan_owner
-            if owner is not None:
-                owner.on_wake(cause)
-            else:
-                proc = self.process
-                proc._waiting_on = None
-                proc._step_send(cause)
+            proc = self.process
+            proc._waiting_on = None
+            proc._step_send(_CAUSES[env._pcause[h]])
 
     def _probe_pop(self, seq: int) -> None:
         """A probe entry popped: fire the deadline or re-arm a stale probe.

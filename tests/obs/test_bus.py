@@ -210,9 +210,6 @@ class TestRouting:
                                  if ev.kind in _KindsSink.consumes]
 
 
-_ATTEMPT = {"tier": "local", "place": 0, "worker": 0, "victim": 1}
-
-
 def _tally_bus(sample_interval=None, sink=None):
     """A bus attached to an unstarted runtime, read by ``sink`` (by
     default one that reads no steal event)."""
@@ -223,35 +220,27 @@ def _tally_bus(sample_interval=None, sink=None):
 
 
 class TestTally:
-    """``tally_at`` counts a count-only batch and refuses anything else."""
+    """``tally`` counts count-only events and rejects the rest (returns
+    False, counts nothing), leaving them to per-event dispatch."""
 
     def test_counts_the_batch(self):
         bus = _tally_bus()
-        bus.tally_at(1_000.0, "steal_attempt", dict(_ATTEMPT), 7)
-        bus.tally_at(2_000.0, "steal_attempt", dict(_ATTEMPT), 2)
-        assert bus.counts == Counter(steal_attempt=9)
-
-    def test_wrong_fields_rejected(self):
-        bus = _tally_bus()
-        with pytest.raises(ConfigError, match="do not match"):
-            bus.tally_at(0.0, "steal_attempt", {"tier": "local"}, 3)
-        assert not bus.counts
+        assert bus.tally("steal_attempt", 1_000.0, 7)
+        assert bus.tally("steal_attempt", 2_000.0)
+        assert bus.counts == Counter(steal_attempt=8)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
-            _tally_bus().tally_at(0.0, "nosuch_event", {}, 3)
+            _tally_bus().tally("nosuch_event", 0.0, 3)
 
     def test_lifecycle_kind_rejected(self):
         bus = _tally_bus()
-        with pytest.raises(ConfigError, match="count-only"):
-            bus.tally_at(0.0, "steal_request",
-                         {"place": 0, "worker": 0, "victim": 1}, 1)
+        assert not bus.tally("steal_request", 0.0)
         assert not bus.counts
 
     def test_consumed_kind_rejected(self):
         bus = _tally_bus(sink=InMemorySink())
-        with pytest.raises(ConfigError, match="count-only"):
-            bus.tally_at(0.0, "steal_attempt", dict(_ATTEMPT), 3)
+        assert not bus.tally("steal_attempt", 0.0, 3)
         assert not bus.counts
 
     def test_batch_reaching_a_due_sample_rejected(self):
@@ -259,10 +248,9 @@ class TestTally:
         bus.emit_at(500.0, "task_start", {"task": 1, "place": 0,
                                           "worker": 0})
         assert bus.counts["sample"] == 4  # next sample due at 1_500
-        bus.tally_at(1_499.0, "steal_attempt", dict(_ATTEMPT), 2)
+        assert bus.tally("steal_attempt", 1_499.0, 2)
         for t_last in (1_500.0, 9_000.0):
-            with pytest.raises(ConfigError, match="count-only"):
-                bus.tally_at(t_last, "steal_attempt", dict(_ATTEMPT), 2)
+            assert not bus.tally("steal_attempt", t_last, 2)
         assert bus.counts["steal_attempt"] == 2
 
 

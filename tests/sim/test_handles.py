@@ -294,7 +294,7 @@ def _run_cell(app: str, sched: str) -> str:
 
 @pytest.mark.parametrize("app,sched", [
     ("uts", "DistWS"),     # scan + policy tail (shared deque, remote tier)
-    ("uts", "X10WS"),      # kernel-resident idle loop (no policy tail)
+    ("uts", "X10WS"),      # scan only: a miss is a failed round (no tail)
     ("turing", "X10WS"),   # barrier phases: heavy park/wake churn
 ])
 def test_full_run_identical_across_kernels_including_event_count(

@@ -34,7 +34,6 @@ import hashlib
 import io
 import json
 import os
-import sys
 
 import pytest
 
@@ -173,42 +172,31 @@ def test_collapsed_round_replays_observed_stream_exactly(key, knobs, interval,
     assert fast[2] == per_probe[2]
 
 
-#: A worker's own synchronous events: each follows a round exit, where
-#: the steal scan has tallied the round's pending attempts.
-_CHECKPOINTS = frozenset(("worker_park", "steal_hit", "task_start"))
+#: The replay cells, plus two with four workers a place: with a single
+#: co-located peer the steal scan never advances past its first probe.
+_TALLY_CELLS = ([(key, knobs, 2) for key, knobs in _REPLAY_CELLS]
+                + [("DistWS|uts|1", {}, 4), ("X10WS|turing|1", {}, 4)])
 
 
-def _tally_cell(key: str, knobs: dict, sample_interval, everything: bool,
-                monkeypatch):
-    """Run ``key`` observed by MetricsRegistry, plus a consume-everything
-    sink when ``everything``.  Returns the ``obs`` block, the worker's own
-    ``steal_attempt`` count at each of its :data:`_CHECKPOINTS` events,
-    and the callers of :meth:`EventBus.tally_at`."""
-    emit_at, tally_at = EventBus.emit_at, EventBus.tally_at
-    attempts: dict = {}
-    checkpoints: list = []
-    tallied_by: set = set()
+def _tally_cell(key: str, knobs: dict, workers: int, sample_interval,
+                everything: bool, monkeypatch):
+    """Run ``key`` on ``workers`` workers a place, observed by
+    MetricsRegistry, plus a consume-everything sink when ``everything``.
+    Returns the snapshot's ``obs`` and ``steals`` blocks and the number
+    of ``steal_attempt`` events that reached :meth:`EventBus.emit_at`."""
+    emit_at = EventBus.emit_at
+    dispatched = []
 
     def counting_emit_at(self, t, kind, fields):
         if kind == "steal_attempt":
-            who = (fields["place"], fields["worker"])
-            attempts[who] = attempts.get(who, 0) + 1
-        elif kind in _CHECKPOINTS:
-            who = (fields["place"], fields["worker"])
-            checkpoints.append((t, kind, who, attempts.get(who, 0)))
+            dispatched.append(t)
         emit_at(self, t, kind, fields)
 
-    def counting_tally_at(self, t_last, kind, fields, n):
-        tally_at(self, t_last, kind, fields, n)
-        who = (fields["place"], fields["worker"])
-        attempts[who] = attempts.get(who, 0) + n
-        tallied_by.add(sys._getframe(1).f_code.co_name)
-
     monkeypatch.setattr(EventBus, "emit_at", counting_emit_at)
-    monkeypatch.setattr(EventBus, "tally_at", counting_tally_at)
     sched, app, seed, *plan = key.split("|")
     _reset_task_ids()
-    spec = ClusterSpec(n_places=4, workers_per_place=2, max_threads=4)
+    spec = ClusterSpec(n_places=4, workers_per_place=workers,
+                       max_threads=workers + 2)
     rt = SimRuntime(spec, make_scheduler(sched, **knobs), seed=int(seed))
     if plan:
         FaultInjector(FaultPlan.parse(plan[0])).attach(rt)
@@ -217,32 +205,35 @@ def _tally_cell(key: str, knobs: dict, sample_interval, everything: bool,
     if everything:
         bus.subscribe(InMemorySink())
     bus.attach(rt)
-    stats = make_app(app, scale="test", seed=12345).run(rt)
+    snap = make_app(app, scale="test", seed=12345).run(rt).snapshot()
     monkeypatch.undo()
-    return stats.snapshot()["obs"], checkpoints, tallied_by
+    return snap["obs"], snap["steals"], len(dispatched)
 
 
 @pytest.mark.parametrize("interval", [None, 100_000, 7_919])
-@pytest.mark.parametrize("key,knobs", _REPLAY_CELLS,
-                         ids=[key for key, _ in _REPLAY_CELLS])
-def test_tallied_attempts_match_dispatched_attempts(key, knobs, interval,
-                                                    monkeypatch):
+@pytest.mark.parametrize("key,knobs,workers", _TALLY_CELLS,
+                         ids=[key if w == 2 else f"{key}@4x{w}"
+                              for key, _, w in _TALLY_CELLS])
+def test_tallied_attempts_match_dispatched_attempts(key, knobs, workers,
+                                                    interval, monkeypatch):
     """With no sink reading ``steal_attempt``, the collapsed round and
-    the steal scan tally attempts instead of dispatching each: the event
+    the steal scan count attempts instead of dispatching each: the event
     counts and the metrics block equal a run whose consume-everything
-    sink forces per-event dispatch, and at each of a worker's own park,
-    hit and task start it has counted exactly the attempts it had
-    dispatched by then (so every round exit, a crash's cancel included,
-    tallies its pending attempts).  The 7_919-cycle sampler falls due
+    sink forces per-event dispatch.  The 7_919-cycle sampler falls due
     inside rounds, where attempts must be dispatched one by one."""
-    tallied, tally_points, callers = _tally_cell(
-        key, knobs, interval, False, monkeypatch)
-    assert callers == {"fast_round", "flush_attempts"}
-    dispatched, dispatch_points, none = _tally_cell(
-        key, knobs, interval, True, monkeypatch)
-    assert not none
+    tallied, steals, n_dispatched = _tally_cell(
+        key, knobs, workers, interval, False, monkeypatch)
+    dispatched, _, _ = _tally_cell(key, knobs, workers, interval, True,
+                                   monkeypatch)
     assert tallied == dispatched
-    assert tally_points == dispatch_points
+    if interval is None:
+        # Not vacuous: with no sink reading attempts and no sampler,
+        # every local and shared attempt is counted, most of them
+        # without ever reaching emit_at.
+        n_attempts = tallied["events"]["steal_attempt"]
+        assert n_attempts == (steals["local_attempts"]
+                              + steals["shared_local_attempts"])
+        assert n_attempts > n_dispatched
 
 
 # -- bounded memory ---------------------------------------------------------

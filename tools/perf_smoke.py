@@ -17,8 +17,9 @@ It also asserts correctness on the way: simulated metrics (makespan,
 steal counts, ...) must be *identical* between the two variants —
 observation may cost wall clock, never simulated behaviour.  And the
 instrumented variant runs once more with a sink that reads every event
-kind, which turns off the bus's tallying of unread kinds: its event
-counts and metrics block must equal the tallied run's.
+kind, so ``EventBus.tally`` counts nothing and every steal attempt is
+dispatched: its event counts and metrics block must equal those of the
+run whose unread attempts ``EventBus.tally`` counted.
 
 Usage:
     PYTHONPATH=src python tools/perf_smoke.py \
