@@ -20,7 +20,7 @@ paper's observation that stealing itself raises measured node utilization.
 from __future__ import annotations
 
 from heapq import heappush as _heappush
-from typing import TYPE_CHECKING, Generator, List, Optional
+from typing import TYPE_CHECKING, Generator, List
 
 from repro.cluster.cache import LruCache
 from repro.runtime.deques import PrivateDeque
@@ -97,8 +97,9 @@ class _StealScan(KernelRound):
             "victim": self.peers[self.order[idx]].worker_index})
 
     def step(self) -> None:
-        # _arm() is inlined in every branch: this method fires hundreds of
-        # thousands of times per cell and the extra call frame is measurable.
+        # Each branch arms its next heap entry inline (seq bump, _arm
+        # column, push): this method fires hundreds of thousands of times
+        # per cell and a helper's extra call frame is measurable.
         phase = self.phase
         costs = self.costs
         worker = self.worker
@@ -284,8 +285,11 @@ class Worker:
     def _run_loop(self) -> Generator[Event, object, None]:
         """Algorithm 1's idle loop, the same for every policy.
 
-        Each round is the kernel-resident steal scan, then the policy's
-        :attr:`~repro.sched.base.Scheduler.find_work_tail` (if it has
+        Each round is the scheduler's collapsed round
+        (:meth:`~repro.sched.base.Scheduler.fast_round`) when it proves
+        the round fails, and otherwise the kernel-resident steal scan,
+        then the policy's
+        :meth:`~repro.sched.base.Scheduler.find_work_tail` (if it has
         one) on a scan miss; a round that finds nothing records a failed
         round and parks the worker until work arrives, its backoff
         expires, the status board signals surplus or the computation
@@ -304,10 +308,9 @@ class Worker:
         # kernel sleeps once to the round's end time.  Fault plans keep
         # it: crashes and latency spikes are heap entries the quiescence
         # guard refuses to cross, an all-skip remote tier sends nothing
-        # to lose, and stragglers act only inside execute().
-        fast_round = None
-        if scheduler._fast_round_ok:
-            fast_round = scheduler.fast_round
+        # to lose, and stragglers act only inside execute().  It runs the
+        # policy's own remote-tier hooks, so it holds for every policy.
+        fast_round = scheduler.fast_round
         sleep_at = rt.env.sleep_at
         find_work_tail = scheduler.find_work_tail
         # One reusable park replaces the per-round AnyOf garbage; the
@@ -319,7 +322,7 @@ class Worker:
         while not gate.is_open:
             if place.dead:
                 return
-            if fast_round is not None and (due := fast_round(self)) is not None:
+            if (due := fast_round(self)) is not None:
                 yield sleep_at(due)
                 task = None
             else:

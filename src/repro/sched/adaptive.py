@@ -52,6 +52,11 @@ class AdaptiveDistWS(DistWS):
         self.classified_flexible = 0
         self.classified_sensitive = 0
 
+    def bind(self, runtime) -> None:
+        super().bind(runtime)
+        self.classified_flexible = 0
+        self.classified_sensitive = 0
+
     def classify_flexible(self, task: Task) -> bool:
         """Would this task amortise a distributed steal?"""
         if task.work < self.min_work:

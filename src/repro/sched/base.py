@@ -11,15 +11,20 @@ Every policy's steal round opens with the same tiers — probe the home
 mailbox, then steal from a co-located worker's private deque.  That
 prefix has one implementation, the worker's kernel-resident scan
 (:class:`repro.runtime.worker._StealScan`).  What follows a co-located
-miss is the policy's :attr:`Scheduler.find_work_tail`: a *generator* run
-inside the worker's simulated process that yields timeouts / lock
-acquisitions to consume simulated time and returns the acquired
-:class:`~repro.runtime.task.Task` (or ``None``).
+miss also has one implementation, :meth:`Scheduler.find_work_tail`: a
+*generator* run inside the worker's simulated process that yields
+timeouts / lock acquisitions to consume simulated time and returns the
+acquired :class:`~repro.runtime.task.Task` (or ``None``).  It takes from
+the local shared deque and then, for a distributed policy on more than
+one place, runs the remote tier.  X10WS has no tail at all.
 
-The shared machinery for the later steal tiers (local shared deque,
-remote shared deques, the mailbox re-probe between remote victims) lives
-here so concrete policies compose the tiers rather than re-implement
-them.
+Policies differ only in the remote tier, and state it once through two
+hooks: :meth:`Scheduler._remote_order` picks the round's victims and
+:meth:`Scheduler._remote_done` books the round's outcome in the policy's
+own ledger (MultiStealWS also overrides :meth:`Scheduler._steal_remote`
+to keep several requests in flight).  The collapsed failed round
+(:meth:`Scheduler.fast_round`) calls the same two hooks, so it cannot
+drift from the per-probe round.
 """
 
 from __future__ import annotations
@@ -196,13 +201,39 @@ class Scheduler(ABC):
             place.pick_private_deque().push(task)
 
     # -- work finding ------------------------------------------------------------
-    #: Policy-specific continuation of the steal round after the
-    #: universal tiers (mailbox probe, co-located steal) have missed: a
-    #: generator method, or ``None`` when the policy has no further tiers
-    #: (X10WS).  The universal prefix runs kernel-resident in the
-    #: worker's :class:`~repro.runtime.worker._StealScan`; with a ``None``
-    #: tail a co-located miss is a failed round.
-    find_work_tail = None
+    def find_work_tail(self, worker: "Worker") -> FindWork:
+        """Algorithm 1's tiers after a co-located miss (lines 17-29).
+
+        The local shared deque, then — for a distributed policy on more
+        than one place — the remote tier: :meth:`_remote_order`, the
+        steal, :meth:`_remote_done`.  The universal prefix (mailbox
+        probe, co-located steal) runs kernel-resident in the worker's
+        :class:`~repro.runtime.worker._StealScan`.  A policy without
+        these tiers sets ``find_work_tail = None`` (X10WS): its
+        co-located miss is a failed round.
+        """
+        task = yield from self._steal_local_shared(worker)
+        if (task is not None or not self.distributed
+                or self.rt.spec.n_places <= 1):
+            return task
+        order = self._remote_order(worker, self.rt.env.now)
+        task = yield from self._steal_remote(worker, order)
+        self._remote_done(worker, task)
+        return task
+
+    def _remote_order(self, worker: "Worker", t: float) -> List[int]:
+        """The remote victims this round visits, in visiting order.
+
+        ``t`` is when the remote tier opens: ``env.now`` in the per-probe
+        round, the round's end time in a collapsed one (the same instant).
+        An event the choice emits is stamped ``t``.  The default visits
+        every other place in a per-worker random order.
+        """
+        return self._random_place_order(worker)
+
+    def _remote_done(self, worker: "Worker", task: Optional[Task]) -> None:
+        """The remote tier ended with ``task`` (``None``: every victim
+        missed or was skipped).  The default keeps no ledger."""
 
     # -- shared steal tiers -------------------------------------------------------
     def _probe_mailbox(self, worker: "Worker") -> Optional[Task]:
@@ -520,18 +551,6 @@ class Scheduler(ABC):
         self._victim_strikes.pop(pj, None)
 
     # -- collapsed failed round (fast path) ----------------------------------
-    #: Whether this policy's :attr:`find_work_tail` follows the canonical
-    #: tier shape :meth:`fast_round` models — optional shared-deque take,
-    #: then a board-gated remote tier — after the mailbox probe and the
-    #: co-located scan.  Only the audited built-in policies opt in; a
-    #: subclass with a custom tail keeps the per-probe path unless it opts
-    #: in itself.  It earns its place on the steal-storm workloads
-    #: (DESIGN.md §17); the worker loop uses it in every run, observed or
-    #: faulted (see ``Worker._run_loop``).
-    _fast_round_ok: bool = False
-    #: Whether the tail includes the local shared-deque tier.
-    _fast_shared_tier: bool = True
-
     def _fast_remote_ok(self, worker: "Worker") -> bool:
         """Whether this round's remote tier is provably a no-op.
 
@@ -548,25 +567,11 @@ class Scheduler(ABC):
             return False
         return not rt.board.has_surplus_other(worker.place.place_id)
 
-    def _fast_remote_commit(self, worker: "Worker", t: float) -> None:
-        """Commit the remote tier of an all-skip round ending at ``t``.
-
-        Replays what :attr:`find_work_tail` does past the shared tier
-        when every remote victim is skipped: its RNG draws, its ledger
-        updates and, with an observer attached, its events, stamped ``t``
-        (the per-probe round reaches its remote tier at the round's end
-        time).  A policy whose tail differs overrides this next to its
-        :attr:`find_work_tail`.  The default tier draws one victim order
-        and emits nothing.
-        """
-        if self.distributed and self.rt.spec.n_places > 1:
-            self._random_place_order(worker)
-
     def fast_round(self, worker: "Worker"):
         """Collapse one provably-failed steal round into a single sleep.
 
         Called by the worker loop *instead of* the steal scan +
-        :attr:`find_work_tail`.  When every tier is empty
+        :meth:`find_work_tail`, for every policy.  When every tier is empty
         and no other heap entry comes due before the round would end, the
         round is a fixed script — a known sequence of sleeps, counter
         bumps, and RNG draws whose outcome is already determined — so this
@@ -585,16 +590,19 @@ class Scheduler(ABC):
         events with the stamps the per-probe round would give them: one
         ``steal_attempt`` (``tier="local"``) per co-located probe in the
         drawn victim order, then one ``tier="shared"`` attempt when the
-        policy has that tier.  One
+        policy has that tier (when its ``find_work_tail`` is not
+        ``None``).  One
         :meth:`~repro.obs.bus.EventBus.tally` counts those attempts
         instead when they are count-only (no sink reads the kind and no
         sample falls due by the last one).
-        The remote tier is the policy's own:
-        :meth:`_fast_remote_commit` commits it last and emits whatever
-        events it has (LocalizedWS's ``radius_fallback``) at the round's
-        end time.  The quiescence guard means no other process runs
-        inside the window, so the stream order is unchanged and a
-        ``sample`` a replayed event triggers reads the same queue depths.
+        An all-skip remote tier is committed last, by the hooks
+        :meth:`find_work_tail` runs — :meth:`_remote_order` at the
+        round's end time, then :meth:`_remote_done` with no task — so
+        its RNG draws, ledger updates and events (LocalizedWS's
+        ``radius_fallback``) are the per-probe round's own.  The
+        quiescence guard means no other process runs inside the window,
+        so the stream order is unchanged and a ``sample`` a replayed
+        event triggers reads the same queue depths.
         """
         place = worker.place
         if worker.deque._items or place.mailbox._items:
@@ -612,7 +620,7 @@ class Scheduler(ABC):
         la = costs.local_steal_attempt
         for _ in range(n):
             t = t + la
-        shared_tier = self._fast_shared_tier
+        shared_tier = self.find_work_tail is not None
         if shared_tier:
             t = t + costs.shared_deque_op
         if env.peek() <= t:
@@ -669,7 +677,9 @@ class Scheduler(ABC):
                     obs.emit_at(stamp, "steal_attempt",
                                 {"tier": "shared", "place": pid, "worker": wi,
                                  "victim": pid})
-        self._fast_remote_commit(worker, t)
+        if self.distributed and rt.spec.n_places > 1:
+            self._remote_order(worker, t)
+            self._remote_done(worker, None)
         return t
 
     # -- victim orders ---------------------------------------------------------

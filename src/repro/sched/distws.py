@@ -24,10 +24,10 @@ thieves only ever touch shared deques.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.runtime.task import Task
-from repro.sched.base import FindWork, Scheduler
+from repro.sched.base import Scheduler
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.place import Place
@@ -40,8 +40,6 @@ class DistWS(Scheduler):
     name = "DistWS"
     remote_chunk_size = 2
     distributed = True
-    #: Canonical tier shape: the collapsed-round fast path may model it.
-    _fast_round_ok = True
 
     def __init__(self, remote_chunk_size: int = 2,
                  shared_fifo: bool = True,
@@ -106,24 +104,9 @@ class DistWS(Scheduler):
             return base + costs.private_deque_op
         return base + costs.shared_deque_op
 
-    def _fast_remote_commit(self, worker: "Worker", t: float) -> None:
-        # ``nearest`` victim order is deterministic (footnote 2's
-        # distance-sorted list): an all-skip remote tier draws no RNG.
-        if (self.distributed and self.rt.spec.n_places > 1
-                and self.victim_order != "nearest"):
-            self._random_place_order(worker)
-
-    # -- work finding (Algorithm 1 lines 9-29; tiers 0-1 run in the worker's
-    # steal scan, this is everything after a co-located miss) -----------------
-    def find_work_tail(self, worker: "Worker") -> FindWork:
-        task = yield from self._steal_local_shared(worker)
-        if task is not None:
-            return task
-        if self.rt.spec.n_places > 1:
-            if self.victim_order == "nearest":
-                order = self.rt.spec.neighbours_by_distance(
-                    worker.place.place_id)
-            else:
-                order = self._random_place_order(worker)
-            task = yield from self._steal_remote(worker, order)
-        return task
+    # -- work finding (Algorithm 1 lines 9-29: the base tail) -----------------
+    def _remote_order(self, worker: "Worker", t: float) -> List[int]:
+        if self.victim_order == "nearest":
+            # Footnote 2's distance-sorted list: draws no RNG.
+            return self.rt.spec.neighbours_by_distance(worker.place.place_id)
+        return self._random_place_order(worker)

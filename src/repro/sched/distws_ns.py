@@ -14,13 +14,10 @@ counts (Table III), and makespan (Fig. 6).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict
+from typing import Dict
 
 from repro.runtime.task import Task
-from repro.sched.base import FindWork, Scheduler
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.runtime.worker import Worker
+from repro.sched.base import Scheduler
 
 
 class DistWSNS(Scheduler):
@@ -29,15 +26,17 @@ class DistWSNS(Scheduler):
     name = "DistWS-NS"
     remote_chunk_size = 2
     distributed = True
-    #: Canonical tier shape (always-random victim order): the base
-    #: collapsed-round commit replays the one permutation draw.
-    _fast_round_ok = True
     #: By design: any task — sensitive included — may travel.
     enforces_locality = False
 
     def __init__(self, **knobs) -> None:
         super().__init__(**knobs)
+        #: place id -> the next mapping turn (even: private, odd: shared).
         self._rr: Dict[int, int] = {}
+
+    def bind(self, runtime) -> None:
+        super().bind(runtime)
+        self._rr = {}
 
     def map_task(self, task: Task, from_worker=None) -> None:
         place = self.rt.places[task.home_place]
@@ -55,12 +54,3 @@ class DistWSNS(Scheduler):
         # Alternate the same way map_task will: even turns go private.
         return (costs.private_deque_op if turn % 2 == 0
                 else costs.shared_deque_op)
-
-    def find_work_tail(self, worker: "Worker") -> FindWork:
-        task = yield from self._steal_local_shared(worker)
-        if task is not None:
-            return task
-        if self.rt.spec.n_places > 1:
-            task = yield from self._steal_remote(
-                worker, self._random_place_order(worker))
-        return task

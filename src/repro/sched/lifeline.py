@@ -22,12 +22,11 @@ simulated critical path — a deliberate, documented approximation that only
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Set
+from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 from repro.cluster.network import MSG_TASK_SHIP
 from repro.runtime.task import Task
-from repro.sched.base import FindWork, Scheduler
-from repro.sched.distws import DistWS
+from repro.sched.randomws import RandomWS
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.worker import Worker
@@ -48,22 +47,15 @@ def lifeline_graph(n_places: int) -> Dict[int, List[int]]:
     return edges
 
 
-class LifelineWS(DistWS):
-    """Random stealing + lifeline registration/push, on DistWS's deques."""
+class LifelineWS(RandomWS):
+    """RandomWS's blind random steals + lifeline registration/push."""
 
     name = "Lifeline"
-    remote_chunk_size = 1
-    distributed = True
-    #: Random phase is blind; lifelines are the repair mechanism (§X).
-    #: ``uses_status_board = False`` also means the collapsed-round fast
-    #: path (inherited via DistWS) only ever fires single-place: with
-    #: peers to rob blindly, a failed round sends real steal traffic and
-    #: registers lifelines, so ``_fast_remote_ok`` rejects it.
-    uses_status_board = False
+    #: Lifelines repair what the blind random phase misses (§X).
+    victim_stream = "lifeline-victims"
 
-    def __init__(self, attempts_per_round: int = 2, **knobs) -> None:
-        super().__init__(remote_chunk_size=1, **knobs)
-        self.attempts_per_round = attempts_per_round
+    def __init__(self, **knobs) -> None:
+        super().__init__(**knobs)
         #: place -> set of places that registered a lifeline *on* it and
         #: are waiting for a push.
         self._waiting_on: Dict[int, Set[int]] = {}
@@ -112,21 +104,9 @@ class LifelineWS(DistWS):
             self.rt.stats.steals.remote_tasks_received += 1
 
     # -- work finding ------------------------------------------------------------
-    def find_work_tail(self, worker: "Worker") -> FindWork:
-        task = yield from self._steal_local_shared(worker)
-        if task is not None:
-            return task
-        if self.rt.spec.n_places > 1:
-            rng = self.rt.rngs.stream("lifeline-victims", *worker.wid)
-            others = [p for p in range(self.rt.spec.n_places)
-                      if p != worker.place.place_id]
-            victims = [others[int(rng.integers(len(others)))]
-                       for _ in range(self.attempts_per_round)]
-            task = yield from self._steal_remote(worker, victims)
-            if task is not None:
-                return task
+    def _remote_done(self, worker: "Worker", task: Optional[Task]) -> None:
+        if task is None:
             # Quiesce: register on every outgoing lifeline.
             me = worker.place.place_id
             for target in self._out_edges.get(me, ()):
                 self._waiting_on[target].add(me)
-        return None

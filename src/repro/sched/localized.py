@@ -21,10 +21,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.sched.base import FindWork
 from repro.sched.distws import DistWS
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.runtime.task import Task
     from repro.runtime.worker import Worker
 
 
@@ -68,27 +68,25 @@ class LocalizedWS(DistWS):
                  <= self.steal_radius]
             for pi in range(spec.n_places)}
 
-    def _fast_remote_commit(self, worker: "Worker", t: float) -> None:
-        # A collapsed all-skip round still consumes this round's victim
-        # shuffle and advances the strike ledger exactly as find_work_tail
-        # would have: a fallback round emits radius_fallback at the
-        # round's end time, draws the global order and clears the
-        # strikes; a regular (missed) round draws the radius order and
-        # adds a strike.
-        if self.rt.spec.n_places <= 1:
-            return
-        wid = worker.wid
-        strikes = self._strikes.get(wid, 0)
+    def _remote_order(self, worker: "Worker", t: float) -> List[int]:
+        strikes = self._strikes.get(worker.wid, 0)
         if strikes >= self.radius_strikes:
+            # Escape hatch: one unrestricted round, then start over.
             if self.rt.obs is not None:
                 self.rt.obs.emit_at(t, "radius_fallback", {
                     "place": worker.place.place_id,
                     "worker": worker.worker_index, "strikes": strikes})
-            self._random_place_order(worker)
-            self._strikes[wid] = 0
-        else:
-            self._local_order(worker)
-            self._strikes[wid] = strikes + 1
+            return self._random_place_order(worker)
+        return self._local_order(worker)
+
+    def _remote_done(self, worker: "Worker", task: Optional["Task"]) -> None:
+        # A hit or a fallback round clears the strikes; a missed local
+        # round adds one.
+        wid = worker.wid
+        strikes = self._strikes.get(wid, 0)
+        self._strikes[wid] = (0 if task is not None
+                              or strikes >= self.radius_strikes
+                              else strikes + 1)
 
     def _local_order(self, worker: "Worker") -> List[int]:
         """The worker's in-radius victims, freshly shuffled."""
@@ -100,26 +98,3 @@ class LocalizedWS(DistWS):
         neighbourhood = self._neighbourhoods[worker.place.place_id]
         return [neighbourhood[int(i)]
                 for i in rng.permutation(len(neighbourhood))]
-
-    def find_work_tail(self, worker: "Worker") -> FindWork:
-        task = yield from self._steal_local_shared(worker)
-        if task is not None:
-            return task
-        if self.rt.spec.n_places > 1:
-            wid = worker.wid
-            strikes = self._strikes.get(wid, 0)
-            if strikes >= self.radius_strikes:
-                # Escape hatch: one unrestricted round, then start over.
-                if self.rt.obs is not None:
-                    self.rt.obs.emit("radius_fallback",
-                                     place=worker.place.place_id,
-                                     worker=worker.worker_index,
-                                     strikes=strikes)
-                task = yield from self._steal_remote(
-                    worker, self._random_place_order(worker))
-                self._strikes[wid] = 0
-            else:
-                task = yield from self._steal_remote(
-                    worker, self._local_order(worker))
-                self._strikes[wid] = 0 if task is not None else strikes + 1
-        return task

@@ -37,8 +37,8 @@ class MultiStealWS(DistWS):
     # Collapsed-round note: with no victim advertising surplus, the
     # batch-build loop skips every place without yielding or drawing
     # (the per-batch mailbox re-probe has no miss counters), so an
-    # all-skip round is observably identical to DistWS's — the inherited
-    # _fast_round_ok/_fast_remote_commit apply unchanged.
+    # all-skip round is observably identical to DistWS's, whose victim
+    # order this policy inherits.
 
     def __init__(self, steal_width: int = 2, **knobs) -> None:
         super().__init__(**knobs)
@@ -51,21 +51,8 @@ class MultiStealWS(DistWS):
         """Seam for tests: one token per concurrent request round."""
         return StealToken()
 
-    def find_work_tail(self, worker: "Worker") -> FindWork:
-        task = yield from self._steal_local_shared(worker)
-        if task is not None:
-            return task
-        if self.rt.spec.n_places > 1:
-            if self.victim_order == "nearest":
-                order = self.rt.spec.neighbours_by_distance(
-                    worker.place.place_id)
-            else:
-                order = self._random_place_order(worker)
-            task = yield from self._steal_remote_multi(worker, order)
-        return task
-
-    def _steal_remote_multi(self, worker: "Worker",
-                            victim_order: List[int]) -> FindWork:
+    def _steal_remote(self, worker: "Worker",
+                      victim_order: List[int]) -> FindWork:
         """Tier 3 with up to ``steal_width`` requests in flight.
 
         Victims are consumed from ``victim_order`` in batches; each batch

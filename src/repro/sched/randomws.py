@@ -13,10 +13,8 @@ UTS comparison isolates the *steal strategy*, not the task-selection rule
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, List
 
-from repro.runtime.task import Task
-from repro.sched.base import FindWork, Scheduler
 from repro.sched.distws import DistWS
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -30,25 +28,21 @@ class RandomWS(DistWS):
     remote_chunk_size = 1
     distributed = True
     #: Blind random victim selection — the point of the §X comparison.
-    #: As with Lifeline, this confines the inherited collapsed-round fast
-    #: path to single-place runs: a blind failed round draws victims and
-    #: pays round trips no matter what the board says.
+    #: It confines the collapsed round to single-place runs: a blind
+    #: failed round draws victims and pays round trips no matter what the
+    #: board says.
     uses_status_board = False
+    #: Named RNG stream the victims are drawn from, per worker.
+    victim_stream = "random-victims"
 
     def __init__(self, attempts_per_round: int = 2, **knobs) -> None:
         super().__init__(remote_chunk_size=1, **knobs)
         #: Random victims tried per failed round (lifeline papers use w=2).
         self.attempts_per_round = attempts_per_round
 
-    def find_work_tail(self, worker: "Worker") -> FindWork:
-        task = yield from self._steal_local_shared(worker)
-        if task is not None:
-            return task
-        if self.rt.spec.n_places > 1:
-            rng = self.rt.rngs.stream("random-victims", *worker.wid)
-            others = [p for p in range(self.rt.spec.n_places)
-                      if p != worker.place.place_id]
-            victims = [others[int(rng.integers(len(others)))]
-                       for _ in range(self.attempts_per_round)]
-            task = yield from self._steal_remote(worker, victims)
-        return task
+    def _remote_order(self, worker: "Worker", t: float) -> List[int]:
+        rng = self.rt.rngs.stream(self.victim_stream, *worker.wid)
+        others = [p for p in range(self.rt.spec.n_places)
+                  if p != worker.place.place_id]
+        return [others[int(rng.integers(len(others)))]
+                for _ in range(self.attempts_per_round)]

@@ -12,13 +12,8 @@ Help-first work stealing that "operates only within a place" (§III):
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
-
 from repro.runtime.task import Task
-from repro.sched.base import FindWork, Scheduler
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.runtime.worker import Worker
+from repro.sched.base import Scheduler
 
 
 class X10WS(Scheduler):
@@ -26,10 +21,6 @@ class X10WS(Scheduler):
 
     name = "X10WS"
     distributed = False
-    #: Collapsed-round fast path: the shape is mailbox probe + co-located
-    #: scan only — no shared-deque tier, no remote tier.
-    _fast_round_ok = True
-    _fast_shared_tier = False
 
     def map_task(self, task: Task, from_worker=None) -> None:
         self._push_private(task, from_worker)

@@ -153,13 +153,6 @@ class KernelRound:
         env._kind[h] = K_SCAN
         env._obj[h] = self
 
-    def _arm(self, delay: float) -> None:
-        """Push this round's next step ``delay`` cycles from now."""
-        env = self.env
-        env._seq += 1
-        env._arm[self._h] = env._seq
-        heapq.heappush(env._queue, (env._now + delay, env._seq, self._h))
-
     def _resolve(self, value: Any) -> None:
         """Resume the owning generator with the round's outcome."""
         proc = self.proc

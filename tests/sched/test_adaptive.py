@@ -55,6 +55,14 @@ class TestClassifier:
         assert rt.scheduler.classified_flexible == 1
         assert rt.scheduler.classified_sensitive == 1
 
+    def test_counters_reset_on_rebind(self):
+        rt = fresh_rt()
+        rt.scheduler.map_task(Task(None, 0, work=5_000_000))
+        rt.scheduler.map_task(Task(None, 0, work=100))
+        rt.scheduler.bind(rt)
+        assert rt.scheduler.classified_flexible == 0
+        assert rt.scheduler.classified_sensitive == 0
+
 
 class TestEndToEnd:
     def test_runs_paper_app_correctly(self):

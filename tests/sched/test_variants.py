@@ -10,7 +10,9 @@ Two halves of the registry-growth contract:
 - the new schedulers themselves must stay deterministic from PR to PR —
   pinned here by ``golden_variant_snapshots.json``, captured at
   introduction time with the same harness (4 places x 2 workers,
-  ``scale="test"``, app seed 12345) as the kernel goldens.
+  ``scale="test"``, app seed 12345) as the kernel goldens.  DistWS's
+  ablation knobs (nearest-first victims on a ring, a LIFO shared deque)
+  are pinned the same way: no kernel golden runs them.
 
 Each cell pins what a kernel golden pins: the bare run's
 ``RunStats.snapshot()`` byte for byte, its ``events_processed``, and the
@@ -47,11 +49,17 @@ from repro.sched import make_scheduler
 GOLDEN = os.path.join(os.path.dirname(__file__),
                       "golden_variant_snapshots.json")
 
-#: scheduler -> constructor kwargs exercising its distinctive knob.
+#: cell label -> (scheduler, constructor kwargs exercising its
+#: distinctive knob, topology).  DistWS is pinned once per ablation knob,
+#: so its labels name the knob.
 VARIANTS = {
-    "StealHalfWS": {},
-    "MultiStealWS": {"steal_width": 3},
-    "LocalizedWS": {"steal_radius": 1, "radius_strikes": 2},
+    "StealHalfWS": ("StealHalfWS", {}, "full"),
+    "MultiStealWS": ("MultiStealWS", {"steal_width": 3}, "full"),
+    "LocalizedWS": ("LocalizedWS",
+                    {"steal_radius": 1, "radius_strikes": 2}, "ring"),
+    "DistWS[victim_order=nearest]": ("DistWS", {"victim_order": "nearest"},
+                                     "ring"),
+    "DistWS[shared_fifo=False]": ("DistWS", {"shared_fifo": False}, "full"),
 }
 
 #: The pinned grid: every variant on two apps plus one faulted cell.
@@ -69,10 +77,10 @@ def _run_cell(key: str, stream: "io.StringIO | None" = None):
     """Run one pinned cell; observed when ``stream`` is given."""
     parts = key.split("|")
     _reset_task_ids()
-    topology = "ring" if parts[0] == "LocalizedWS" else "full"
+    name, knobs, topology = VARIANTS[parts[0]]
     spec = ClusterSpec(n_places=4, workers_per_place=2, max_threads=4,
                        topology=topology)
-    sched = make_scheduler(parts[0], **VARIANTS[parts[0]])
+    sched = make_scheduler(name, **knobs)
     rt = SimRuntime(spec, sched, seed=int(parts[2]))
     if len(parts) > 3:
         FaultInjector(FaultPlan.parse(parts[3])).attach(rt)

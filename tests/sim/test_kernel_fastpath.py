@@ -95,13 +95,13 @@ def test_fastpath_matches_pre_rewrite_golden(key):
     assert got["stream_sha256"] == expected["stream_sha256"]
 
 
-#: Observed replay cells: ``sched|app|seed[|fault plan]`` and the
-#: policy's knobs.  LocalizedWS with ``radius_strikes=1`` runs a fallback
-#: round every other failed round, so collapsed rounds must replay its
-#: ``radius_fallback`` events; MultiStealWS keeps DistWS's hooks.  The
-#: faulted cells run the collapse beside crashes (a heap entry the
-#: quiescence guard must not cross), steal-message loss and the victim
-#: blacklist.
+#: Observed replay cells: ``sched[@topology]|app|seed[|fault plan]`` and
+#: the policy's knobs.  LocalizedWS with ``radius_strikes=1`` runs a
+#: fallback round every other failed round, so collapsed rounds must
+#: replay its ``radius_fallback`` events; MultiStealWS keeps DistWS's
+#: hooks.  The faulted cells run the collapse beside crashes (a heap
+#: entry the quiescence guard must not cross), steal-message loss and
+#: the victim blacklist.
 _REPLAY_CELLS = [
     ("DistWS|uts|1", {}),
     ("X10WS|turing|1", {}),
@@ -119,17 +119,30 @@ _REPLAY_CELLS = [
     # The crash lands inside a co-located probe and the stop cuts another
     # worker's round short: both hold attempts the scan has not tallied.
     ("DistWS|uts|1|crash:p2@489027,seed:3", {}),
+    # DistWS's ablation knobs: nearest-first victims on a ring (a victim
+    # order that draws no RNG) and a LIFO shared deque.
+    ("DistWS@ring|uts|1", {"victim_order": "nearest"}),
+    ("DistWS|turing|1", {"shared_fifo": False}),
 ]
+
+
+def _cell_runtime(key: str, knobs: dict, workers: int = 2):
+    """A runtime for ``key`` on 4 places x ``workers``, its fault plan
+    attached, and the name of the app to run on it."""
+    sched, app, seed, *plan = key.split("|")
+    sched, _, topology = sched.partition("@")
+    _reset_task_ids()
+    spec = ClusterSpec(n_places=4, workers_per_place=workers,
+                       max_threads=workers + 2, topology=topology or "full")
+    rt = SimRuntime(spec, make_scheduler(sched, **knobs), seed=int(seed))
+    if plan:
+        FaultInjector(FaultPlan.parse(plan[0])).attach(rt)
+    return rt, app
 
 
 def _observed_cell(key: str, knobs: dict, sample_interval: float):
     """Golden-spec run of ``key`` under MetricsRegistry + JsonlSink."""
-    sched, app, seed, *plan = key.split("|")
-    _reset_task_ids()
-    spec = ClusterSpec(n_places=4, workers_per_place=2, max_threads=4)
-    rt = SimRuntime(spec, make_scheduler(sched, **knobs), seed=int(seed))
-    if plan:
-        FaultInjector(FaultPlan.parse(plan[0])).attach(rt)
+    rt, app = _cell_runtime(key, knobs)
     bus = EventBus(sample_interval=sample_interval)
     bus.subscribe(MetricsRegistry())
     stream = io.StringIO()
@@ -150,7 +163,8 @@ def test_collapsed_round_replays_observed_stream_exactly(key, knobs, interval,
     stream, snapshot (obs and fault blocks included) and
     ``events_processed`` equal a run with the collapse turned off.  The
     7_919-cycle sampler fires samples from inside replays."""
-    policy = type(make_scheduler(key.split("|")[0], **knobs))
+    policy = type(make_scheduler(key.split("|")[0].partition("@")[0],
+                                 **knobs))
     collapsed = []
     fast_round = policy.fast_round
 
@@ -163,10 +177,8 @@ def test_collapsed_round_replays_observed_stream_exactly(key, knobs, interval,
     monkeypatch.setattr(policy, "fast_round", counting_fast_round)
     fast = _observed_cell(key, knobs, interval)
     assert collapsed, "no round collapsed"
-    monkeypatch.setattr(policy, "_fast_round_ok", False)
-    collapsed.clear()
+    monkeypatch.setattr(policy, "fast_round", lambda self, worker: None)
     per_probe = _observed_cell(key, knobs, interval)
-    assert not collapsed
     assert fast[0] == per_probe[0]
     assert fast[1] == per_probe[1]
     assert fast[2] == per_probe[2]
@@ -193,13 +205,7 @@ def _tally_cell(key: str, knobs: dict, workers: int, sample_interval,
         emit_at(self, t, kind, fields)
 
     monkeypatch.setattr(EventBus, "emit_at", counting_emit_at)
-    sched, app, seed, *plan = key.split("|")
-    _reset_task_ids()
-    spec = ClusterSpec(n_places=4, workers_per_place=workers,
-                       max_threads=workers + 2)
-    rt = SimRuntime(spec, make_scheduler(sched, **knobs), seed=int(seed))
-    if plan:
-        FaultInjector(FaultPlan.parse(plan[0])).attach(rt)
+    rt, app = _cell_runtime(key, knobs, workers)
     bus = EventBus(sample_interval=sample_interval)
     bus.subscribe(MetricsRegistry())
     if everything:
