@@ -23,11 +23,13 @@ class AlwaysSharedDistWS(DistWS):
 
     name = "DistWS-AlwaysShared"
 
-    def map_task(self, task: Task, from_worker=None) -> None:
+    def map_task(self, task: Task, from_worker=None) -> float:
+        costs = self._bound_runtime().costs
         if not task.is_flexible:
             self._push_private(task, from_worker)
-        else:
-            self._push_shared(task)
+            return costs.private_deque_op
+        self._push_shared(task)
+        return costs.locality_mapping_overhead + costs.shared_deque_op
 
 
 @pytest.mark.benchmark(group="ablation-mapping")

@@ -5,8 +5,6 @@ from repro.analysis.fleet_report import sweep_report_html, write_report
 from repro.analysis.report import (
     experiment_to_csv,
     experiment_to_json,
-    stats_to_dict,
-    stats_to_json,
     trace_to_json,
 )
 from repro.analysis.svg import grouped_bar_chart, line_chart
@@ -38,8 +36,6 @@ __all__ = [
     "line_chart",
     "run_theory_sweep",
     "place_timeline",
-    "stats_to_dict",
-    "stats_to_json",
     "steal_flow",
     "sweep_report_html",
     "trace_to_json",

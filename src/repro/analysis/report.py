@@ -1,8 +1,9 @@
 """Machine-readable exports of runs and experiment outputs.
 
-JSON and CSV writers for :class:`~repro.runtime.stats.RunStats`,
-:class:`~repro.harness.paper.ExperimentOutput`, and traces — so results
-can be archived, diffed across commits, or plotted elsewhere.
+JSON and CSV writers for :class:`~repro.harness.paper.ExperimentOutput`
+and traces — so results can be archived, diffed across commits, or
+plotted elsewhere.  A run's statistics have one serialization,
+:meth:`~repro.runtime.stats.RunStats.snapshot`.
 """
 
 from __future__ import annotations
@@ -10,64 +11,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Any, Dict, Optional
+from typing import Optional
 
 from repro.analysis.trace import Trace
 from repro.harness.paper import ExperimentOutput
-from repro.runtime.stats import RunStats
-
-
-def stats_to_dict(stats: RunStats) -> Dict[str, Any]:
-    """Full, JSON-safe dump of one run's statistics."""
-    return {
-        "cluster": {
-            "places": stats.n_places,
-            "workers_per_place": stats.workers_per_place,
-        },
-        "makespan_cycles": stats.makespan_cycles,
-        "tasks": {
-            "spawned": stats.tasks_spawned,
-            "executed": stats.tasks_executed,
-            "executed_remote": stats.tasks_executed_remote,
-            "by_label": dict(stats.tasks_by_label),
-            "mean_granularity_cycles": stats.mean_task_granularity_cycles,
-        },
-        "steals": {
-            "local_attempts": stats.steals.local_attempts,
-            "local_hits": stats.steals.local_hits,
-            "shared_local_hits": stats.steals.shared_local_hits,
-            "mailbox_hits": stats.steals.mailbox_hits,
-            "remote_attempts": stats.steals.remote_attempts,
-            "remote_hits": stats.steals.remote_hits,
-            "remote_tasks_received": stats.steals.remote_tasks_received,
-            "failed_rounds": stats.steals.failed_rounds,
-            "total": stats.steals.total_steals,
-            "steals_to_task_ratio": stats.steals_to_task_ratio,
-        },
-        "memory": {
-            "cache_hits": stats.cache_hits,
-            "cache_misses": stats.cache_misses,
-            "l1_miss_rate": stats.l1_miss_rate,
-            "remote_references": stats.remote_references,
-            "block_migrations": stats.block_migrations,
-        },
-        "network": {
-            "messages": stats.messages,
-            "bytes": stats.bytes_transmitted,
-            "by_kind": dict(stats.messages_by_kind),
-        },
-        "utilization": {
-            "per_node": stats.node_utilization(),
-            "mean": stats.utilization_mean(),
-            "spread": stats.utilization_spread(),
-            "stdev": stats.utilization_stdev(),
-        },
-    }
-
-
-def stats_to_json(stats: RunStats, indent: Optional[int] = 2) -> str:
-    """JSON text of :func:`stats_to_dict`."""
-    return json.dumps(stats_to_dict(stats), indent=indent, sort_keys=True)
 
 
 def experiment_to_json(out: ExperimentOutput,

@@ -60,9 +60,8 @@ class Place:
         self._n_private = 0
         self._n_spare = 0
         #: Idle workers parked waiting for work to arrive at this place:
-        #: a mix of one-shot :class:`~repro.sim.events.Event` waiters (the
-        #: legacy API, kept for tests and tooling) and ``(ParkRecord,
-        #: round)`` entries appended by :meth:`add_park_waiter`.
+        #: ``(ParkRecord, round)`` entries appended by
+        #: :meth:`add_park_waiter`.
         self._work_waiters: List = []
         #: Compaction threshold for stale park entries (adaptive).
         self._compact_at = 16
@@ -124,13 +123,6 @@ class Place:
             self.active = False
 
     # -- idle-worker wakeup -----------------------------------------------------
-    def work_event(self):
-        """Event an idle worker parks on; triggered by :meth:`notify_work`."""
-        from repro.sim.events import Event  # local import avoids a cycle
-        ev = Event(self.env)
-        self._work_waiters.append(ev)
-        return ev
-
     def add_park_waiter(self, record) -> None:
         """Register a worker's park record for this round's work wakeup.
 
@@ -144,14 +136,8 @@ class Place:
         waiters = self._work_waiters
         waiters.append((record, record.round))
         if len(waiters) > self._compact_at:
-            live = []
-            for entry in waiters:
-                if type(entry) is tuple:
-                    rec, rnd = entry
-                    if rec.round == rnd and rec.state == PARK_PARKED:
-                        live.append(entry)
-                elif not entry.triggered:
-                    live.append(entry)
+            live = [(rec, rnd) for rec, rnd in waiters
+                    if rec.round == rnd and rec.state == PARK_PARKED]
             self._work_waiters = live
             self._compact_at = max(16, 2 * len(live) + 8)
 
@@ -161,13 +147,9 @@ class Place:
         if not waiters:
             return
         self._work_waiters = []
-        for entry in waiters:
-            if type(entry) is tuple:
-                rec, rnd = entry
-                if rec.round == rnd:
-                    rec._fire(CAUSE_WORK)
-            elif not entry.triggered:
-                entry.succeed()
+        for rec, rnd in waiters:
+            if rec.round == rnd:
+                rec._fire(CAUSE_WORK)
 
     # -- private-deque mapping helpers ----------------------------------------
     def pick_private_deque(self) -> PrivateDeque:

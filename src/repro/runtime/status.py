@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import List, Set
 
 from repro.sim.engine import CAUSE_BOARD, PARK_PARKED, Environment
-from repro.sim.events import Event
 
 
 class StatusBoard:
@@ -32,7 +31,6 @@ class StatusBoard:
     def __init__(self, env: Environment) -> None:
         self.env = env
         self._surplus: Set[int] = set()
-        #: One-shot :class:`Event` waiters (legacy API) mixed with
         #: ``(ParkRecord, round)`` entries from parked workers.
         self._waiters: List = []
         self._compact_at = 16
@@ -46,13 +44,9 @@ class StatusBoard:
         if not waiters:
             return
         self._waiters = []
-        for entry in waiters:
-            if type(entry) is tuple:
-                rec, rnd = entry
-                if rec.round == rnd:
-                    rec._fire(CAUSE_BOARD)
-            elif not entry.triggered:
-                entry.succeed(place_id)
+        for rec, rnd in waiters:
+            if rec.round == rnd:
+                rec._fire(CAUSE_BOARD)
 
     def add_park_waiter(self, record) -> None:
         """Register a park record for the next surplus advertisement.
@@ -65,14 +59,8 @@ class StatusBoard:
         waiters = self._waiters
         waiters.append((record, record.round))
         if len(waiters) > self._compact_at:
-            live = []
-            for entry in waiters:
-                if type(entry) is tuple:
-                    rec, rnd = entry
-                    if rec.round == rnd and rec.state == PARK_PARKED:
-                        live.append(entry)
-                elif not entry.triggered:
-                    live.append(entry)
+            live = [(rec, rnd) for rec, rnd in waiters
+                    if rec.round == rnd and rec.state == PARK_PARKED]
             self._waiters = live
             self._compact_at = max(16, 2 * len(live) + 8)
 
@@ -102,9 +90,3 @@ class StatusBoard:
     def surplus_places(self, exclude: int) -> List[int]:
         """Advertising places other than ``exclude``, id-sorted."""
         return sorted(p for p in self._surplus if p != exclude)
-
-    def surplus_event(self) -> Event:
-        """Event that triggers the next time any place advertises."""
-        ev = Event(self.env)
-        self._waiters.append(ev)
-        return ev

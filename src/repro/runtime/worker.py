@@ -62,7 +62,7 @@ class _StealScan(KernelRound):
     """
 
     __slots__ = ("worker", "st", "costs", "obs", "phase", "order", "idx",
-                 "peers", "mailbox_get", "deque_pop")
+                 "mailbox_get", "deque_pop")
 
     def __init__(self, env, proc, worker: "Worker") -> None:
         super().__init__(env, proc)
@@ -74,7 +74,6 @@ class _StealScan(KernelRound):
         self.phase = 0
         self.order: list = []
         self.idx = 0
-        self.peers: "list[Worker] | None" = None
         self.mailbox_get = worker.place.mailbox.try_get
         self.deque_pop = worker.deque.pop
 
@@ -94,7 +93,7 @@ class _StealScan(KernelRound):
         self.obs.emit_at(self.env._now, "steal_attempt", {
             "tier": "local", "place": worker.place.place_id,
             "worker": worker.worker_index,
-            "victim": self.peers[self.order[idx]].worker_index})
+            "victim": worker.steal_peers[self.order[idx]].worker_index})
 
     def step(self) -> None:
         # Each branch arms its next heap entry inline (seq bump, _arm
@@ -107,7 +106,7 @@ class _StealScan(KernelRound):
         if phase == 1:
             # A co-located probe fired: attempt the steal it paid for.
             worker.overhead_cycles += costs.local_steal_attempt
-            task = self.peers[self.order[self.idx]].deque.steal()
+            task = worker.steal_peers[self.order[self.idx]].deque.steal()
             if task is not None:
                 worker.pending_chunk.append(task)
                 self.phase = 2
@@ -141,19 +140,8 @@ class _StealScan(KernelRound):
             if task is None:
                 task = self.mailbox_get()
                 if task is None:
-                    peers = self.peers
-                    if peers is None:
-                        peers = worker.steal_peers
-                        if peers is None:
-                            peers = worker.steal_peers = [
-                                w for w in worker.place.workers
-                                if w is not worker]
-                        self.peers = peers
-                    rng = worker.victims_rng
-                    if rng is None:
-                        rng = worker.victims_rng = \
-                            worker.runtime.rngs.stream("victims", *worker.wid)
-                    order = rng.permutation(len(peers)).tolist()
+                    order = worker.victims_rng.permutation(
+                        len(worker.steal_peers)).tolist()
                     if order:
                         self.order = order
                         self.idx = 0
@@ -184,7 +172,7 @@ class _StealScan(KernelRound):
                 self.obs.emit("steal_hit", tier="local",
                               place=worker.place.place_id,
                               worker=worker.worker_index,
-                              victim=self.peers[self.order[self.idx]]
+                              victim=worker.steal_peers[self.order[self.idx]]
                               .worker_index, tasks=1)
             # Out of pending_chunk and into execute() (which makes it the
             # current_task) with no yield in between.
@@ -222,10 +210,12 @@ class Worker:
         self.overhead_cycles = 0.0
         self.tasks_run = 0
         self._backoff = runtime.idle_backoff_base
-        #: Steal-tier caches (scheduler-owned, lazily filled): the victim
-        #: RNG streams are keyed by this worker's id and the peer/place
-        #: orders are structurally constant, so re-deriving them on every
-        #: steal attempt was pure overhead.
+        #: Steal-tier state: the victim RNG streams are keyed by this
+        #: worker's id and the peer/place orders are structurally
+        #: constant, so they are derived once, not on every attempt.  The
+        #: co-located peers and their victim stream are built by
+        #: :meth:`_run_loop` before its first round; the remote-tier pair
+        #: is filled lazily by the scheduler.
         self.victims_rng = None
         self.steal_peers: "list[Worker] | None" = None
         self.place_victims_rng = None
@@ -317,6 +307,8 @@ class Worker:
         # board a parking worker watches is fixed per policy.
         park = ParkRecord(rt.env, self.proc)
         board = scheduler.park_board()
+        self.steal_peers = [w for w in place.workers if w is not self]
+        self.victims_rng = rt.rngs.stream("victims", *self.wid)
         scan = _StealScan(rt.env, self.proc, self)
         gate_registered = False
         while not gate.is_open:
@@ -429,9 +421,8 @@ class Worker:
             # Help-first: children become available as the parent continues.
             for child in children:
                 cost += costs.spawn_overhead
-                cost += rt.scheduler.mapping_cost(child)
-                rt.spawn(child, from_place=place.place_id,
-                         finish=task.finish, from_worker=self)
+                cost += rt.spawn(child, from_place=place.place_id,
+                                 finish=task.finish, from_worker=self)
             # Results that must explicitly travel back after a remote
             # execution (e.g. the Turing-ring inner population update).
             if remote:

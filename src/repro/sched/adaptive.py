@@ -68,28 +68,16 @@ class AdaptiveDistWS(DistWS):
             return False
         return True
 
-    def map_task(self, task: Task, from_worker=None) -> None:
-        place = self.rt.places[task.home_place]
+    def map_task(self, task: Task, from_worker=None) -> float:
+        rt = self._bound_runtime()
+        costs = rt.costs
         if not self.classify_flexible(task):
             self.classified_sensitive += 1
             self._push_private(task, from_worker)
-            return
+            # Classifying costs what consulting the status object does.
+            return costs.locality_mapping_overhead + costs.private_deque_op
         self.classified_flexible += 1
         # The runtime decided this task travels well: ship its data with
         # the closure if it is ever stolen.
         task.encapsulates = True
-        if self._keep_local(place):
-            place.pick_private_deque().push(task)
-        else:
-            self._push_shared(task)
-
-    def mapping_cost(self, task: Task) -> float:
-        rt = self._bound_runtime()
-        costs = rt.costs
-        base = costs.locality_mapping_overhead
-        if not self.classify_flexible(task):
-            return base + costs.private_deque_op
-        place = rt.places[task.home_place]
-        if self._keep_local(place):
-            return base + costs.private_deque_op
-        return base + costs.shared_deque_op
+        return self._place_flexible(task)

@@ -3,7 +3,8 @@
 A scheduler owns two decisions:
 
 - **mapping** (:meth:`Scheduler.map_task`): which deque a freshly spawned
-  task lands in (Algorithm 1 lines 1-8 for DistWS);
+  task lands in (Algorithm 1 lines 1-8 for DistWS), and what that
+  placement costs the spawner;
 - **work finding** (Algorithm 1 lines 9-29): what an idle worker does
   after its own private deque came up empty.
 
@@ -146,17 +147,16 @@ class Scheduler(ABC):
 
     # -- mapping -----------------------------------------------------------
     @abstractmethod
-    def map_task(self, task: Task, from_worker: "Worker | None" = None) -> None:
-        """Push ``task`` onto a deque at its home place.
+    def map_task(self, task: Task, from_worker: "Worker | None" = None) -> float:
+        """Push ``task`` onto a deque at its home place; return the cycles
+        the spawning worker pays for that placement.
 
         ``from_worker`` is the spawning worker, when the spawn happens
         inside a running activity; help-first mapping pushes same-place
         children onto the spawner's own deque so peers must *steal* them.
+        The cost is the placement actually made, so a task the fault
+        injector re-homed is priced where it lands.
         """
-
-    def mapping_cost(self, task: Task) -> float:
-        """Cycles the spawning worker pays to map one child task."""
-        return self._bound_runtime().costs.private_deque_op
 
     def _push_shared(self, task: Task) -> None:
         """Push onto the home place's shared deque and advertise surplus."""
@@ -611,9 +611,6 @@ class Scheduler(ABC):
         env = rt.env
         costs = rt.costs
         peers = worker.steal_peers
-        if peers is None:
-            peers = worker.steal_peers = [
-                w for w in place.workers if w is not worker]
         n = len(peers)
         # The round's timeline, float-added in the per-probe sleep order.
         t = env._now + costs.private_deque_op
@@ -637,10 +634,7 @@ class Scheduler(ABC):
         if not self._fast_remote_ok(worker):
             return None
         # -- commit ---------------------------------------------------------
-        rng = worker.victims_rng
-        if rng is None:
-            rng = worker.victims_rng = rt.rngs.stream("victims", *worker.wid)
-        order = rng.permutation(n)
+        order = worker.victims_rng.permutation(n)
         st = rt.stats.steals
         st.local_attempts += n
         oc = worker.overhead_cycles + costs.private_deque_op

@@ -72,37 +72,36 @@ class DistWS(Scheduler):
         return place.is_under_utilized()
 
     # -- mapping (Algorithm 1 lines 1-8) ------------------------------------
-    def map_task(self, task: Task, from_worker=None) -> None:
-        place = self.rt.places[task.home_place]
+    def map_task(self, task: Task, from_worker=None) -> float:
+        rt = self._bound_runtime()
         if not task.is_flexible:
             self._push_private(task, from_worker)
-            return
+            return rt.costs.private_deque_op
+        return self._place_flexible(task)
+
+    def _place_flexible(self, task: Task) -> float:
+        """Algorithm 1 lines 4-8 for a task already judged flexible.
+
+        Returns the spawner's cycles: consulting the place-status object
+        plus the (private or shared) deque operation.
+        """
+        rt = self.rt
+        costs = rt.costs
+        place = rt.places[task.home_place]
         if self._keep_local(place):
             # Idle/under-utilized place: keep the flexible task local to
             # prioritize the place's own cores (§V-B1 benefit i/ii).
             # pick_private_deque prefers an *idle* worker, eliminating the
             # steal that worker would otherwise need.
             place.pick_private_deque().push(task)
+            return costs.locality_mapping_overhead + costs.private_deque_op
+        if self.shared_fifo:
+            self._push_shared(task)
         else:
-            if not self.shared_fifo:
-                # LIFO-shared ablation: push at the steal end instead.
-                place.shared.push_front(task)
-                self.rt.board.advertise(place.place_id)
-            else:
-                self._push_shared(task)
-
-    def mapping_cost(self, task: Task) -> float:
-        rt = self._bound_runtime()
-        costs = rt.costs
-        if not task.is_flexible:
-            return costs.private_deque_op
-        # Consulting the place-status object plus the (possibly shared)
-        # deque operation.
-        place = rt.places[task.home_place]
-        base = costs.locality_mapping_overhead
-        if self._keep_local(place):
-            return base + costs.private_deque_op
-        return base + costs.shared_deque_op
+            # LIFO-shared ablation: push at the steal end instead.
+            place.shared.push_front(task)
+            rt.board.advertise(place.place_id)
+        return costs.locality_mapping_overhead + costs.shared_deque_op
 
     # -- work finding (Algorithm 1 lines 9-29: the base tail) -----------------
     def _remote_order(self, worker: "Worker", t: float) -> List[int]:

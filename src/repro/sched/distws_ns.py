@@ -38,19 +38,14 @@ class DistWSNS(Scheduler):
         super().bind(runtime)
         self._rr = {}
 
-    def map_task(self, task: Task, from_worker=None) -> None:
-        place = self.rt.places[task.home_place]
+    def map_task(self, task: Task, from_worker=None) -> float:
+        rt = self._bound_runtime()
+        place = rt.places[task.home_place]
         turn = self._rr.get(place.place_id, 0)
         self._rr[place.place_id] = turn + 1
+        # Alternate per place: even turns go private, odd turns shared.
         if turn % 2 == 0:
             self._push_private(task, from_worker)
-        else:
-            self._push_shared(task)
-
-    def mapping_cost(self, task: Task) -> float:
-        rt = self._bound_runtime()
-        costs = rt.costs
-        turn = self._rr.get(rt.places[task.home_place].place_id, 0)
-        # Alternate the same way map_task will: even turns go private.
-        return (costs.private_deque_op if turn % 2 == 0
-                else costs.shared_deque_op)
+            return rt.costs.private_deque_op
+        self._push_shared(task)
+        return rt.costs.shared_deque_op

@@ -68,9 +68,10 @@ class LifelineWS(RandomWS):
         self._waiting_on = {p: set() for p in range(n)}
 
     # -- mapping + push -------------------------------------------------------
-    def map_task(self, task: Task, from_worker=None) -> None:
-        super().map_task(task, from_worker)
+    def map_task(self, task: Task, from_worker=None) -> float:
+        cost = super().map_task(task, from_worker)
         self._push_to_lifelines(task.home_place)
+        return cost
 
     def _push_to_lifelines(self, place_id: int) -> None:
         """Hand surplus shared-deque tasks to registered lifeliners."""

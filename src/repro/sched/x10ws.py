@@ -22,8 +22,10 @@ class X10WS(Scheduler):
     name = "X10WS"
     distributed = False
 
-    def map_task(self, task: Task, from_worker=None) -> None:
+    def map_task(self, task: Task, from_worker=None) -> float:
+        rt = self._bound_runtime()
         self._push_private(task, from_worker)
+        return rt.costs.private_deque_op
 
     # Work finding is the base prefix and nothing else: mailbox probe
     # (remote asyncs still have to arrive somehow — X10 delivers the

@@ -13,8 +13,6 @@ from repro.analysis import (
     experiment_to_csv,
     experiment_to_json,
     place_timeline,
-    stats_to_dict,
-    stats_to_json,
     steal_flow,
     trace_to_json,
     worker_occupancy,
@@ -186,12 +184,6 @@ class TestTraceClock:
 
 
 class TestExports:
-    def test_stats_json_round_trip(self):
-        _, stats = traced_run()
-        data = json.loads(stats_to_json(stats))
-        assert data["tasks"]["executed"] == 13
-        assert data == stats_to_dict(stats)
-
     def test_trace_json(self):
         trace, _ = traced_run()
         data = json.loads(trace_to_json(trace))

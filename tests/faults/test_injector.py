@@ -185,6 +185,42 @@ class TestDeferredCommit:
         assert stats.tasks_executed == stats.tasks_spawned
 
 
+class TestRehomedSpawnPricing:
+    """A child addressed to a dead place is priced where it lands.
+
+    p1 crashes while idle, so it still has a spare worker and Algorithm
+    1 would keep a flexible task there (private price).  The survivor p0
+    is saturated by the spawning parent itself (one worker, one thread),
+    so the re-homed child goes to p0's shared deque (shared price).
+    """
+
+    def test_spawner_pays_survivor_placement(self):
+        def parent(ctx):
+            ctx.spawn(None, place=1, flexible=True, work=1_000)
+
+        tasks = []
+
+        def program(rt):
+            tasks.append(Apgas(rt).async_at(0, parent, work=WORK,
+                                            flexible=False))
+
+        cluster = ClusterSpec(n_places=2, workers_per_place=1,
+                              max_threads=1)
+        rt = SimRuntime(cluster, DistWS(), seed=1)
+        FaultInjector(FaultPlan.parse("crash:p1@1000")).attach(rt)
+        stats = rt.run(program)
+        assert stats.faults.tasks_rehomed == 1
+        assert stats.tasks_executed == stats.tasks_spawned == 2
+        costs = rt.costs
+        (task,) = tasks
+        # A crash plan defers the commit: the parent stalls for its
+        # work, then for its one child's spawn.
+        charged = task.end_time - task.start_time - WORK
+        assert charged == pytest.approx(
+            costs.spawn_overhead + costs.locality_mapping_overhead
+            + costs.shared_deque_op)
+
+
 class TestCrashDuringStealWindows:
     """Crashes timed into the thief-side steal machinery.
 

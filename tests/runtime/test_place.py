@@ -7,6 +7,8 @@ from repro.runtime.place import Place
 from repro.runtime.runtime import SimRuntime
 from repro.runtime.task import Task
 from repro.sched import DistWS
+from repro.sim.engine import (CAUSE_BOARD, CAUSE_WORK, PARK_PARKED,
+                              PARK_WAKING, ParkRecord)
 
 
 def make_place(env, n_workers=2, max_threads=4):
@@ -86,23 +88,51 @@ class TestDequeSelection:
         assert p.least_loaded_deque() is p.workers[2].deque
 
 
+def parked(env, delay=50.0):
+    """A park record armed for one idle round (no process resumes it:
+    the tests read its state and cause)."""
+    return ParkRecord(env, None).begin(delay, False)
+
+
 class TestWorkNotify:
     def test_notify_wakes_waiters(self, env):
         p = make_place(env)
-        ev = p.work_event()
-        assert not ev.triggered
+        park = parked(p.env)
+        p.add_park_waiter(park)
+        assert park.state == PARK_PARKED
         p.notify_work()
-        assert ev.triggered
+        assert park.state == PARK_WAKING
+        assert park.cause is CAUSE_WORK
 
     def test_notify_skips_already_triggered(self, env):
         p = make_place(env)
-        ev = p.work_event()
-        ev.succeed()  # woke some other way (e.g. backoff timeout)
-        p.notify_work()  # must not double-succeed
-        assert ev.triggered
+        park = parked(p.env)
+        p.add_park_waiter(park)
+        park._fire(CAUSE_BOARD)  # woke some other way (the status board)
+        p.notify_work()  # must not re-fire
+        assert park.cause is CAUSE_BOARD
+
+    def test_notify_skips_stale_round(self, env):
+        p = make_place(env)
+        park = parked(p.env)
+        p.add_park_waiter(park)
+        park.begin(50.0, False)  # a new round, not registered here
+        p.notify_work()
+        assert park.state == PARK_PARKED
 
     def test_waiter_list_cleared(self, env):
         p = make_place(env)
-        p.work_event()
+        p.add_park_waiter(parked(p.env))
         p.notify_work()
         assert p._work_waiters == []
+
+    def test_compaction_keeps_only_live_entries(self, env):
+        p = make_place(env)
+        park = parked(p.env)
+        for _ in range(16):
+            p.add_park_waiter(park)
+            park.begin(50.0, False)
+        # The 17th append crosses the threshold: every earlier round's
+        # entry is swept, only the one for the current round is left.
+        p.add_park_waiter(park)
+        assert p._work_waiters == [(park, park.round)]

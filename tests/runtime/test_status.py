@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from repro.runtime.status import StatusBoard
-from repro.sim.engine import Environment
+from repro.sim.engine import CAUSE_BOARD, CAUSE_WORK, PARK_PARKED, PARK_WAKING
+
+from tests.runtime.test_place import parked
 
 
 class TestStatusBoard:
@@ -23,30 +25,51 @@ class TestStatusBoard:
         assert board.surplus_places(exclude=3) == [1, 5]
         assert board.surplus_places(exclude=9) == [1, 3, 5]
 
-    def test_surplus_event_wakes_on_advertise(self, env):
+    def test_advertise_wakes_parked_waiter(self, env):
         board = StatusBoard(env)
-        ev = board.surplus_event()
-        assert not ev.triggered
+        park = parked(env)
+        board.add_park_waiter(park)
+        assert park.state == PARK_PARKED
         board.advertise(2)
-        assert ev.triggered
-        assert ev.value == 2
+        assert park.state == PARK_WAKING
+        assert park.cause is CAUSE_BOARD
+        assert board._waiters == []
 
     def test_re_advertising_does_not_double_fire(self, env):
         board = StatusBoard(env)
         board.advertise(1)
-        ev = board.surplus_event()
+        park = parked(env)
+        board.add_park_waiter(park)
         board.advertise(1)  # already advertised: no wake
-        assert not ev.triggered
+        assert park.state == PARK_PARKED
         board.retract(1)
         board.advertise(1)  # fresh advertisement wakes
-        assert ev.triggered
+        assert park.cause is CAUSE_BOARD
 
     def test_already_triggered_waiters_skipped(self, env):
         board = StatusBoard(env)
-        ev = board.surplus_event()
-        ev.succeed("woke some other way")
-        board.advertise(0)  # must not double-succeed
-        assert ev.value == "woke some other way"
+        park = parked(env)
+        board.add_park_waiter(park)
+        park._fire(CAUSE_WORK)  # woke some other way (work arrived)
+        board.advertise(0)  # must not re-fire
+        assert park.cause is CAUSE_WORK
+
+    def test_stale_round_skipped(self, env):
+        board = StatusBoard(env)
+        park = parked(env)
+        board.add_park_waiter(park)
+        park.begin(50.0, False)  # a new round, not registered here
+        board.advertise(0)
+        assert park.state == PARK_PARKED
+
+    def test_compaction_keeps_only_live_entries(self, env):
+        board = StatusBoard(env)
+        park = parked(env)
+        for _ in range(16):
+            board.add_park_waiter(park)
+            park.begin(50.0, False)
+        board.add_park_waiter(park)  # crosses the threshold: swept
+        assert board._waiters == [(park, park.round)]
 
 
 class TestBoardIntegration:

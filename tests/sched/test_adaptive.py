@@ -55,6 +55,28 @@ class TestClassifier:
         assert rt.scheduler.classified_flexible == 1
         assert rt.scheduler.classified_sensitive == 1
 
+    def test_lifo_shared_ablation_is_honoured(self):
+        """``shared_fifo=False`` reaches the adaptive flexible branch: on a
+        saturated place the task goes to the shared deque's steal end."""
+        rt = fresh_rt(shared_fifo=False)
+        place = rt.places[0]
+        costs = rt.costs
+        while len(place.shared) == 0:
+            rt.scheduler.map_task(Task(None, 0, work=5_000_000))
+        t = Task(None, 0, work=5_000_000)
+        cost = rt.scheduler.map_task(t)
+        assert place.shared.take_oldest(remote=False) is t
+        assert cost == costs.locality_mapping_overhead + costs.shared_deque_op
+
+    def test_map_task_returns_placement_cost(self):
+        rt = fresh_rt()
+        costs = rt.costs
+        # Classifying a task consults the status object either way.
+        assert rt.scheduler.map_task(Task(None, 0, work=100)) \
+            == costs.locality_mapping_overhead + costs.private_deque_op
+        assert rt.scheduler.map_task(Task(None, 0, work=5_000_000)) \
+            == costs.locality_mapping_overhead + costs.private_deque_op
+
     def test_counters_reset_on_rebind(self):
         rt = fresh_rt()
         rt.scheduler.map_task(Task(None, 0, work=5_000_000))

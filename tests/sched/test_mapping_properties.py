@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -56,15 +55,17 @@ class TestMappingProperties:
                 assert before_size >= rt.spec.max_threads
 
     def test_mapping_cost_consistent_with_destination(self):
+        """Each flexible placement is priced by the deque it landed in."""
         rt = fresh_rt(workers=2, max_threads=2)
         place = rt.places[0]
         costs = rt.costs
-        # Saturate the place.
-        for _ in range(4):
-            rt.scheduler.map_task(Task(None, 0, locality=FLEXIBLE))
-        assert len(place.shared) > 0
-        # With the place saturated the flexible mapping pays shared cost.
-        t = Task(None, 0, locality=FLEXIBLE)
-        quoted = rt.scheduler.mapping_cost(t)
-        assert quoted == pytest.approx(
-            costs.locality_mapping_overhead + costs.shared_deque_op)
+        private = costs.locality_mapping_overhead + costs.private_deque_op
+        shared = costs.locality_mapping_overhead + costs.shared_deque_op
+        landed = []
+        for _ in range(5):
+            before = len(place.shared)
+            cost = rt.scheduler.map_task(Task(None, 0, locality=FLEXIBLE))
+            landed.append(len(place.shared) > before)
+            assert cost == (shared if landed[-1] else private)
+        # The idle workers were filled first, then the place saturated.
+        assert landed == [False, False, True, True, True]

@@ -11,7 +11,9 @@ from repro.sched import SCHEDULERS, make_scheduler
 
 @pytest.mark.parametrize("name", sorted(SCHEDULERS))
 def test_mapping_cost_unbound_raises_scheduler_error(name):
+    """``map_task`` (which places a task and returns its mapping cost)
+    refuses to run before ``bind``."""
     sched = make_scheduler(name)
     task = Task(None, 0, locality=FLEXIBLE, work=100)
     with pytest.raises(SchedulerError, match="scheduler not bound"):
-        sched.mapping_cost(task)
+        sched.map_task(task)
