@@ -174,9 +174,11 @@ class Network:
         rx_end = rx_start + occupancy
         self._recv_free[dst] = rx_end
         total = rx_end - now
-        if self.obs is not None:
-            self.obs.emit("msg_send", src=src, dst=dst, kind=kind,
-                          bytes=nbytes, packets=packets, latency=total)
+        obs = self.obs
+        if obs is not None and not obs.tally("msg_send", now):
+            obs.emit_at(now, "msg_send", {
+                "src": src, "dst": dst, "kind": kind, "bytes": nbytes,
+                "packets": packets, "latency": total})
         return total
 
     def round_trip(self, src: int, dst: int, request_bytes: int,

@@ -276,5 +276,7 @@ class FaultInjector:
     def _record(self, kind: str, place: int, detail: str = "") -> None:
         now = self.rt.env.now if self.rt is not None else 0.0
         self.events.append(FaultEvent(now, kind, place, detail))
-        if self.rt is not None and self.rt.obs is not None:
-            self.rt.obs.emit("fault", what=kind, place=place, detail=detail)
+        obs = self.rt.obs if self.rt is not None else None
+        if obs is not None and not obs.tally("fault", now):
+            obs.emit_at(now, "fault", {"what": kind, "place": place,
+                                       "detail": detail})

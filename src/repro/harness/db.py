@@ -316,8 +316,11 @@ class ExperimentStore:
                 delay = min(delay * 2, 1.0)
 
     def _emit(self, kind: str, **fields) -> None:
-        if self.bus is not None:
-            self.bus.emit(kind, **fields)
+        bus = self.bus
+        if bus is not None:
+            t = bus.clock()
+            if not bus.tally(kind, t):
+                bus.emit_at(t, kind, fields)
 
     def close(self) -> None:
         with self._lock:

@@ -23,31 +23,32 @@ event traffic — the first event at or past the next due time triggers one
 requests).  No simulated process is created, so sampling cannot perturb
 the schedule either.
 
-Routing: every event is schema-checked and counted, but an
-:class:`~repro.obs.events.ObsEvent` is built only when a subscribed sink
-reads its kind (``Sink.consumes``), and it goes to those sinks only.
-:meth:`EventBus.emit_at` is the one emission body: :meth:`EventBus.emit`
-stamps the current clock, while the sampler, the kernel-resident steal
-scan and the collapsed steal round (``Scheduler.fast_round``, which
-replays a round's per-probe events before the clock reaches them) pass
-their own stamp.
+Routing: an :class:`~repro.obs.events.ObsEvent` is built only when a
+subscribed sink reads its kind (``Sink.consumes``), and it goes to those
+sinks only.  :meth:`EventBus.emit_at` is the one emission entry point:
+every producer passes its own stamp (the runtime's clock, the collapsed
+steal round's replayed probe times, or a standalone bus's ``clock``).
+It schema-checks, counts, tracks outstanding steals, routes and samples.
 
-Tallying: events of one kind are *count-only* when no subscribed sink
-consumes the kind, it is not a steal-lifecycle kind, and the last of
-them is stamped before the next sample is due — dispatching them one
-event at a time would only bump ``counts``.  :meth:`EventBus.tally`
-counts such events in one call and tells its caller to dispatch them
-itself otherwise.  The two producers of ``steal_attempt`` use it: the
-collapsed round tallies its replayed attempts in one call, and the
-steal scan counts each co-located attempt the moment it probes (its
-phase-1 probe inlines the same test).  ``counts`` is read only by
+Tallying: one rule, :meth:`EventBus.tally`, decides for every event
+whether dispatching it would do anything but bump ``counts``.  An event
+is *count-only* when no subscribed sink consumes its kind, it is not a
+steal-lifecycle kind, and it is stamped before the next sample is due.
+Every emission site asks first and dispatches only when told to::
+
+    if obs is not None and not obs.tally(kind, t):
+        obs.emit_at(t, kind, {...})
+
+so an unread event costs one counter add and builds no fields dict.
+The collapsed steal round asks once for its ``n`` replayed attempts
+(``tally(kind, t_last, n)``).  ``counts`` is read only by
 :meth:`EventBus.snapshot`, so sinks see identical streams and the
-snapshot identical counts.
+snapshot identical counts.  A count-only event skips the schema check;
+the tests dispatch every kind under a sink that reads them all.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.errors import ConfigError
@@ -74,7 +75,11 @@ class EventBus:
             raise ConfigError("sample_interval must be positive")
         self.sample_interval = sample_interval
         self.rt: Optional["SimRuntime"] = None
-        self.counts: Counter = Counter()
+        #: kind -> events seen.  A plain dict: storing into a ``Counter``
+        #: goes through a Python-level slot (``Counter`` defines
+        #: ``__delitem__``), which makes the counter add, all that a tallied
+        #: event costs, about 2.5 times as slow.
+        self.counts: Dict[str, int] = {}
         self._sinks: List[Sink] = []
         #: kind -> the subscribed sinks that consume it, in subscription
         #: order (rebuilt by :meth:`subscribe`).
@@ -85,7 +90,9 @@ class EventBus:
         self._next_sample = (0.0 if sample_interval is not None
                              else float("inf"))
         self._sampling = False
-        self._clock = None  # standalone wall clock (attach_clock)
+        #: The standalone clock set by :meth:`attach_clock` (else None):
+        #: producers without a runtime stamp their events with it.
+        self.clock = None
         #: thief place -> ``(worker, victim)`` pairs with an unresolved
         #: distributed steal request (a MultiStealWS thief has several).
         self._outstanding: Dict[int, Set[Tuple[int, int]]] = {}
@@ -108,7 +115,7 @@ class EventBus:
             kind: tuple(sub for sub in self._sinks
                         if sub.consumes is None or kind in sub.consumes)
             for kind in EVENT_SCHEMA}
-        if self.rt is not None or self._clock is not None:
+        if self.rt is not None or self.clock is not None:
             sink.open(self, self.rt)
         return sink
 
@@ -122,7 +129,7 @@ class EventBus:
             raise ConfigError("runtime already has an event bus")
         if self.rt is not None:
             raise ConfigError("event bus already attached to a runtime")
-        if self._clock is not None:
+        if self.clock is not None:
             raise ConfigError("event bus is in standalone (clock) mode")
         self.rt = rt
         rt.obs = self
@@ -144,34 +151,25 @@ class EventBus:
 
         if self.rt is not None:
             raise ConfigError("bus already attached to a runtime")
-        if self._clock is not None:
+        if self.clock is not None:
             raise ConfigError("bus already has a standalone clock")
         if self.sample_interval is not None:
             # The sampler reads the runtime's places; there are none.
             raise ConfigError("a standalone bus cannot sample: "
                               "construct it without sample_interval")
-        self._clock = clock if clock is not None else time.time
+        self.clock = clock if clock is not None else time.time
         for sink in self._sinks:
             sink.open(self, None)
         return self
 
     # -- emission ----------------------------------------------------------
-    def emit(self, _kind: str, **fields: object) -> None:
-        """Dispatch one event, stamped with the current simulated time.
-
-        The event kind is positional-only in spirit (named ``_kind``) so
-        schema field names — ``msg_send`` carries a ``kind`` field — can
-        never collide with it.
-        """
-        self.emit_at(self.rt.env.now if self.rt is not None
-                     else self._clock(), _kind, fields)
-
     def emit_at(self, t: float, kind: str,
                 fields: Dict[str, object]) -> None:
         """Check, count and route one event stamped ``t``.
 
-        The one emission body.  Counts and outstanding-steal tracking run
-        for every event; an :class:`ObsEvent` is built only when some
+        The one emission entry point, called when :meth:`tally` declined
+        the event.  Counts and outstanding-steal tracking run for every
+        dispatched event; an :class:`ObsEvent` is built only when some
         sink consumes ``kind``.  ``t`` may lie ahead of the clock: the
         collapsed steal round replays its events before sleeping to them.
         """
@@ -182,7 +180,7 @@ class EventBus:
             raise ConfigError(
                 f"event {kind!r} fields {sorted(fields)} do not match "
                 f"schema {list(EVENT_SCHEMA[kind])}")
-        self.counts[kind] += 1
+        self.counts[kind] = self.counts.get(kind, 0) + 1
         if kind in _STEAL_LIFECYCLE:
             place = fields["place"]
             key = (fields["worker"], fields["victim"])
@@ -202,10 +200,11 @@ class EventBus:
         """Count ``n`` events of ``kind``, the last stamped ``t_last``,
         when they are count-only; return whether they were counted.
 
-        Count-only means no sink reads the kind, it moves no
-        outstanding-steal ledger, and none of the events would trigger
-        a sample.  Otherwise nothing is counted and the caller
-        dispatches each event through :meth:`emit_at`.
+        The one definition of count-only: no sink reads the kind, it
+        moves no outstanding-steal ledger, and none of the events would
+        trigger a sample.  Every emission site calls this first;
+        otherwise nothing is counted and the caller dispatches each
+        event through :meth:`emit_at`.
         """
         routes = self._routes.get(kind)
         if routes is None:
@@ -213,7 +212,7 @@ class EventBus:
         if (routes or kind in _STEAL_LIFECYCLE
                 or t_last >= self._next_sample):
             return False
-        self.counts[kind] += n
+        self.counts[kind] = self.counts.get(kind, 0) + n
         return True
 
     def _sample(self, now: float) -> None:
@@ -222,13 +221,14 @@ class EventBus:
         try:
             self._next_sample = now + self.sample_interval
             for place in self.rt.places:
-                self.emit_at(now, "sample", {
-                    "place": place.place_id,
-                    "private": place.queued_private(),
-                    "shared": len(place.shared),
-                    "mailbox": len(place.mailbox),
-                    "outstanding": len(
-                        self._outstanding.get(place.place_id, ()))})
+                if not self.tally("sample", now):
+                    self.emit_at(now, "sample", {
+                        "place": place.place_id,
+                        "private": place.queued_private(),
+                        "shared": len(place.shared),
+                        "mailbox": len(place.mailbox),
+                        "outstanding": len(
+                            self._outstanding.get(place.place_id, ()))})
         finally:
             self._sampling = False
 

@@ -100,13 +100,14 @@ class SimRuntime:
         task.finish.register()
         task.enqueue_time = self.env.now
         self.stats.tasks_spawned += 1
-        if self.obs is not None:
+        obs = self.obs
+        if obs is not None and not obs.tally("task_spawn", self.env.now):
             parent = None
             if from_worker is not None and from_worker.current_task is not None:
                 parent = from_worker.current_task.task_id
-            self.obs.emit("task_spawn", task=task.task_id, label=task.label,
-                          parent=parent, home=task.home_place,
-                          flexible=task.is_flexible)
+            obs.emit_at(self.env.now, "task_spawn", {
+                "task": task.task_id, "label": task.label, "parent": parent,
+                "home": task.home_place, "flexible": task.is_flexible})
         if self.faults is not None:
             # Ledger bookkeeping; may re-home a task whose place is dead.
             self.faults.on_spawn(task)
@@ -122,12 +123,14 @@ class SimRuntime:
 
     def task_finished(self, task: Task, worker: Worker) -> None:
         """Bookkeeping when an activity completes (called by the worker)."""
-        if self.obs is not None:
-            self.obs.emit("task_end", task=task.task_id, label=task.label,
-                          home=task.home_place, place=task.exec_place,
-                          worker=task.exec_worker, start=task.start_time,
-                          work=task.work, flexible=task.is_flexible,
-                          stolen=task.stolen_remotely)
+        obs = self.obs
+        if obs is not None and not obs.tally("task_end", self.env.now):
+            obs.emit_at(self.env.now, "task_end", {
+                "task": task.task_id, "label": task.label,
+                "home": task.home_place, "place": task.exec_place,
+                "worker": task.exec_worker, "start": task.start_time,
+                "work": task.work, "flexible": task.is_flexible,
+                "stolen": task.stolen_remotely})
         st = self.stats
         st.tasks_executed += 1
         if task.exec_place != task.home_place:

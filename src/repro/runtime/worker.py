@@ -87,14 +87,6 @@ class _StealScan(KernelRound):
                   (env._now + self.costs.private_deque_op, env._seq, self._h))
         return self
 
-    def _emit_attempt(self, idx: int) -> None:
-        """Dispatch the co-located attempt on ``order[idx]``."""
-        worker = self.worker
-        self.obs.emit_at(self.env._now, "steal_attempt", {
-            "tier": "local", "place": worker.place.place_id,
-            "worker": worker.worker_index,
-            "victim": worker.steal_peers[self.order[idx]].worker_index})
-
     def step(self) -> None:
         # Each branch arms its next heap entry inline (seq bump, _arm
         # column, push): this method fires hundreds of thousands of times
@@ -118,15 +110,14 @@ class _StealScan(KernelRound):
             idx = self.idx + 1
             if idx < len(self.order):
                 self.st.local_attempts += 1
-                if self.obs is not None:
-                    # EventBus.tally inlined: this is the one per-probe
-                    # cost an observer adds.
-                    obs = self.obs
-                    if (not obs._routes["steal_attempt"]
-                            and env._now < obs._next_sample):
-                        obs.counts["steal_attempt"] += 1
-                    else:
-                        self._emit_attempt(idx)
+                obs = self.obs
+                if obs is not None and not obs.tally("steal_attempt",
+                                                     env._now):
+                    obs.emit_at(env._now, "steal_attempt", {
+                        "tier": "local", "place": worker.place.place_id,
+                        "worker": worker.worker_index,
+                        "victim": worker.steal_peers[self.order[idx]]
+                        .worker_index})
                 self.idx = idx
                 env._seq += 1
                 env._arm[self._h] = env._seq
@@ -146,9 +137,15 @@ class _StealScan(KernelRound):
                         self.order = order
                         self.idx = 0
                         self.st.local_attempts += 1
-                        if (self.obs is not None and
-                                not self.obs.tally("steal_attempt", env._now)):
-                            self._emit_attempt(0)
+                        obs = self.obs
+                        if obs is not None and not obs.tally(
+                                "steal_attempt", env._now):
+                            obs.emit_at(env._now, "steal_attempt", {
+                                "tier": "local",
+                                "place": worker.place.place_id,
+                                "worker": worker.worker_index,
+                                "victim": worker.steal_peers[order[0]]
+                                .worker_index})
                         self.phase = 1
                         env._seq += 1
                         env._arm[self._h] = env._seq
@@ -159,21 +156,24 @@ class _StealScan(KernelRound):
                     self._resolve(SCAN_MISS)
                     return
                 self.st.mailbox_hits += 1
-                if self.obs is not None:
-                    self.obs.emit("mailbox_get", place=worker.place.place_id,
-                                  worker=worker.worker_index,
-                                  task=task.task_id)
+                obs = self.obs
+                if obs is not None and not obs.tally("mailbox_get",
+                                                     env._now):
+                    obs.emit_at(env._now, "mailbox_get", {
+                        "place": worker.place.place_id,
+                        "worker": worker.worker_index, "task": task.task_id})
             self._resolve(task)
         else:
             # The steal-success stall fired; settle the task.
             worker.overhead_cycles += costs.local_steal_success
             self.st.local_hits += 1
-            if self.obs is not None:
-                self.obs.emit("steal_hit", tier="local",
-                              place=worker.place.place_id,
-                              worker=worker.worker_index,
-                              victim=worker.steal_peers[self.order[self.idx]]
-                              .worker_index, tasks=1)
+            obs = self.obs
+            if obs is not None and not obs.tally("steal_hit", env._now):
+                obs.emit_at(env._now, "steal_hit", {
+                    "tier": "local", "place": worker.place.place_id,
+                    "worker": worker.worker_index,
+                    "victim": worker.steal_peers[self.order[self.idx]]
+                    .worker_index, "tasks": 1})
             # Out of pending_chunk and into execute() (which makes it the
             # current_task) with no yield in between.
             self._resolve(worker.pending_chunk.pop())
@@ -301,15 +301,16 @@ class Worker:
         # to lose, and stragglers act only inside execute().  It runs the
         # policy's own remote-tier hooks, so it holds for every policy.
         fast_round = scheduler.fast_round
-        sleep_at = rt.env.sleep_at
+        env = rt.env
+        sleep_at = env.sleep_at
         find_work_tail = scheduler.find_work_tail
         # One reusable park replaces the per-round AnyOf garbage; the
         # board a parking worker watches is fixed per policy.
-        park = ParkRecord(rt.env, self.proc)
+        park = ParkRecord(env, self.proc)
         board = scheduler.park_board()
         self.steal_peers = [w for w in place.workers if w is not self]
         self.victims_rng = rt.rngs.stream("victims", *self.wid)
-        scan = _StealScan(rt.env, self.proc, self)
+        scan = _StealScan(env, self.proc, self)
         gate_registered = False
         while not gate.is_open:
             if place.dead:
@@ -331,9 +332,10 @@ class Worker:
             place.note_failed_steal()
             scheduler.note_failed_round(self)
             steals.failed_rounds += 1
-            if obs is not None:
-                obs.emit("worker_park", place=place.place_id,
-                         worker=self.worker_index, backoff=self._backoff)
+            if obs is not None and not obs.tally("worker_park", env.now):
+                obs.emit_at(env.now, "worker_park", {
+                    "place": place.place_id, "worker": self.worker_index,
+                    "backoff": self._backoff})
             park.begin(self._backoff, gate.is_open)
             if not gate_registered:
                 # The gate fires at most once (termination), so the park
@@ -387,9 +389,11 @@ class Worker:
         place.note_assignment()
         self.executing = True
         self.current_task = task
-        if rt.obs is not None:
-            rt.obs.emit("task_start", task=task.task_id,
-                        place=place.place_id, worker=self.worker_index)
+        obs = rt.obs
+        if obs is not None and not obs.tally("task_start", env.now):
+            obs.emit_at(env.now, "task_start", {
+                "task": task.task_id, "place": place.place_id,
+                "worker": self.worker_index})
         try:
             cost = task.work
             if faults is not None:

@@ -245,11 +245,12 @@ class Scheduler(ABC):
         task = worker.place.mailbox.try_get()
         if task is not None:
             self.rt.stats.steals.mailbox_hits += 1
-            if self.rt.obs is not None:
-                self.rt.obs.emit("mailbox_get",
-                                 place=worker.place.place_id,
-                                 worker=worker.worker_index,
-                                 task=task.task_id)
+            obs = self.rt.obs
+            if obs is not None and not obs.tally("mailbox_get",
+                                                 self.rt.env.now):
+                obs.emit_at(self.rt.env.now, "mailbox_get", {
+                    "place": worker.place.place_id,
+                    "worker": worker.worker_index, "task": task.task_id})
         return task  # type: ignore[return-value]
 
     def _steal_local_shared(self, worker: "Worker") -> FindWork:
@@ -258,11 +259,12 @@ class Scheduler(ABC):
         env = rt.env
         shared = worker.place.shared
         rt.stats.steals.shared_local_attempts += 1
-        if rt.obs is not None:
-            rt.obs.emit("steal_attempt", tier="shared",
-                        place=worker.place.place_id,
-                        worker=worker.worker_index,
-                        victim=worker.place.place_id)
+        obs = rt.obs
+        if obs is not None and not obs.tally("steal_attempt", env.now):
+            obs.emit_at(env.now, "steal_attempt", {
+                "tier": "shared", "place": worker.place.place_id,
+                "worker": worker.worker_index,
+                "victim": worker.place.place_id})
         yield shared.lock.acquire()
         try:
             yield env.sleep(rt.costs.shared_deque_op)
@@ -274,11 +276,11 @@ class Scheduler(ABC):
             shared.lock.release()
         if task is not None:
             rt.stats.steals.shared_local_hits += 1
-            if rt.obs is not None:
-                rt.obs.emit("steal_hit", tier="shared",
-                            place=worker.place.place_id,
-                            worker=worker.worker_index,
-                            victim=worker.place.place_id, tasks=1)
+            if obs is not None and not obs.tally("steal_hit", env.now):
+                obs.emit_at(env.now, "steal_hit", {
+                    "tier": "shared", "place": worker.place.place_id,
+                    "worker": worker.worker_index,
+                    "victim": worker.place.place_id, "tasks": 1})
         return task
 
     def _steal_remote(self, worker: "Worker",
@@ -347,9 +349,11 @@ class Scheduler(ABC):
         return chunk, False
 
     def _emit_cancel(self, worker: "Worker", pj: int) -> None:
-        if self.rt.obs is not None:
-            self.rt.obs.emit("steal_cancel", place=worker.place.place_id,
-                             worker=worker.worker_index, victim=pj)
+        obs = self.rt.obs
+        if obs is not None and not obs.tally("steal_cancel", self.rt.env.now):
+            obs.emit_at(self.rt.env.now, "steal_cancel", {
+                "place": worker.place.place_id,
+                "worker": worker.worker_index, "victim": pj})
 
     def _attempt_remote_steal(self, worker: "Worker", pj: int,
                               cancel: Optional[StealToken] = None) -> FindWork:
@@ -402,9 +406,11 @@ class Scheduler(ABC):
                 return None
             if faults is not None and faults.is_dead(pj):
                 self._blacklist_victim(pj)
-                if obs is not None and request_time is not None:
-                    obs.emit("steal_miss", place=home.place_id,
-                             worker=worker.worker_index, victim=pj)
+                if (obs is not None and request_time is not None
+                        and not obs.tally("steal_miss", env.now)):
+                    obs.emit_at(env.now, "steal_miss", {
+                        "place": home.place_id,
+                        "worker": worker.worker_index, "victim": pj})
                 self._note_steal_result(
                     worker, False,
                     env.now - request_time if request_time is not None
@@ -413,9 +419,10 @@ class Scheduler(ABC):
             st.remote_attempts += 1
             if request_time is None:
                 request_time = env.now
-            if obs is not None:
-                obs.emit("steal_request", place=home.place_id,
-                         worker=worker.worker_index, victim=pj)
+            if obs is not None and not obs.tally("steal_request", env.now):
+                obs.emit_at(env.now, "steal_request", {
+                    "place": home.place_id, "worker": worker.worker_index,
+                    "victim": pj})
             latency, delivered = rt.network.send_unreliable(
                 home.place_id, pj, 64, MSG_STEAL_REQUEST)
             if delivered:
@@ -427,9 +434,10 @@ class Scheduler(ABC):
             faults.stats.steal_timeouts += 1
             if retries >= self.steal_max_retries:
                 self._blacklist_victim(pj)
-                if obs is not None:
-                    obs.emit("steal_miss", place=home.place_id,
-                             worker=worker.worker_index, victim=pj)
+                if obs is not None and not obs.tally("steal_miss", env.now):
+                    obs.emit_at(env.now, "steal_miss", {
+                        "place": home.place_id,
+                        "worker": worker.worker_index, "victim": pj})
                 self._note_steal_result(worker, False,
                                         env.now - request_time, 0)
                 return None
@@ -460,9 +468,10 @@ class Scheduler(ABC):
                 # pays the timeout before moving on.
                 yield env.sleep(costs.steal_timeout)
                 faults.stats.steal_timeouts += 1
-            if obs is not None:
-                obs.emit("steal_miss", place=home.place_id,
-                         worker=worker.worker_index, victim=pj)
+            if obs is not None and not obs.tally("steal_miss", env.now):
+                obs.emit_at(env.now, "steal_miss", {
+                    "place": home.place_id, "worker": worker.worker_index,
+                    "victim": pj})
             self._note_steal_result(worker, False,
                                     env.now - request_time, 0)
             return None
@@ -506,16 +515,17 @@ class Scheduler(ABC):
         worker.pending_chunk = []
         obs = rt.obs
         t0 = request_time if request_time is not None else env.now
-        if obs is not None:
-            obs.emit("chunk_arrive", place=home.place_id,
-                     worker=worker.worker_index, victim=pj,
-                     tasks=len(chunk), latency=env.now - t0)
+        if obs is not None and not obs.tally("chunk_arrive", env.now):
+            obs.emit_at(env.now, "chunk_arrive", {
+                "place": home.place_id, "worker": worker.worker_index,
+                "victim": pj, "tasks": len(chunk), "latency": env.now - t0})
         self._note_steal_result(worker, True, env.now - t0, len(chunk))
         first, rest = chunk[0], chunk[1:]
         for t in rest:
             home.mailbox.put(t)
-            if obs is not None:
-                obs.emit("mailbox_put", place=home.place_id, task=t.task_id)
+            if obs is not None and not obs.tally("mailbox_put", env.now):
+                obs.emit_at(env.now, "mailbox_put", {
+                    "place": home.place_id, "task": t.task_id})
         if rest:
             home.notify_work()
         return first

@@ -98,9 +98,11 @@ class LifelineWS(RandomWS):
                                  task.closure_bytes, MSG_TASK_SHIP)
             dest = self.rt.places[target]
             dest.mailbox.put(task)
-            if self.rt.obs is not None:
-                self.rt.obs.emit("mailbox_put", place=target,
-                                 task=task.task_id)
+            obs = self.rt.obs
+            if obs is not None and not obs.tally("mailbox_put",
+                                                 self.rt.env.now):
+                obs.emit_at(self.rt.env.now, "mailbox_put", {
+                    "place": target, "task": task.task_id})
             dest.notify_work()
             self.rt.stats.steals.remote_tasks_received += 1
 

@@ -72,8 +72,9 @@ class LocalizedWS(DistWS):
         strikes = self._strikes.get(worker.wid, 0)
         if strikes >= self.radius_strikes:
             # Escape hatch: one unrestricted round, then start over.
-            if self.rt.obs is not None:
-                self.rt.obs.emit_at(t, "radius_fallback", {
+            obs = self.rt.obs
+            if obs is not None and not obs.tally("radius_fallback", t):
+                obs.emit_at(t, "radius_fallback", {
                     "place": worker.place.place_id,
                     "worker": worker.worker_index, "strikes": strikes})
             return self._random_place_order(worker)

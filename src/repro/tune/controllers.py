@@ -75,9 +75,9 @@ class Controller:
 
     def _emit_knob(self, name: str, place: int, value: float) -> None:
         obs = self.rt.obs
-        if obs is not None:
-            obs.emit("knob_update", name=name, place=place,
-                     value=float(value))
+        if obs is not None and not obs.tally("knob_update", self.rt.env.now):
+            obs.emit_at(self.rt.env.now, "knob_update", {
+                "name": name, "place": place, "value": float(value)})
 
 
 class AIMDChunkController(Controller):

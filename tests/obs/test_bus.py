@@ -89,7 +89,7 @@ class TestEmit:
     def test_unknown_kind_rejected(self):
         bus, _, _ = observed_run()
         with pytest.raises(ConfigError):
-            bus.emit("nosuch_event", foo=1)
+            bus.emit_at(0.0, "nosuch_event", {"foo": 1})
 
     def test_wrong_fields_rejected(self):
         rt = make_rt()
@@ -97,9 +97,10 @@ class TestEmit:
         bus.subscribe(InMemorySink())
         bus.attach(rt)
         with pytest.raises(ConfigError):
-            bus.emit("task_start", task=1)  # missing place/worker
+            bus.emit_at(0.0, "task_start", {"task": 1})  # missing place/worker
         with pytest.raises(ConfigError):
-            bus.emit("task_start", task=1, place=0, worker=0, extra=9)
+            bus.emit_at(0.0, "task_start",
+                        {"task": 1, "place": 0, "worker": 0, "extra": 9})
 
     def test_counts_match_sink(self):
         bus, sink, _ = observed_run()
@@ -252,6 +253,56 @@ class TestTally:
         for t_last in (1_500.0, 9_000.0):
             assert not bus.tally("steal_attempt", t_last, 2)
         assert bus.counts["steal_attempt"] == 2
+
+
+def test_every_kind_is_dispatched_under_a_consume_all_sink(tmp_path):
+    """A count-only event skips ``emit_at``'s schema check, so a producer
+    with wrong fields would only fail under a sink that reads its kind.
+    With a sink that reads every kind, these cells and the store's
+    standalone bus dispatch — and so schema-check — every kind."""
+    from repro.apps import make_app
+    from repro.faults.injector import FaultInjector
+    from repro.faults.plan import FaultPlan
+    from repro.runtime.task import _reset_task_ids
+    from repro.tune.controllers import AIMDChunkController
+    from tests.harness.test_db import FakeClock, grid_specs, make_store
+
+    cells = [
+        ("DistWS", {"controller": AIMDChunkController()},
+         "crash:p2@600000,loss:steal=0.05,seed:3", 50_000),
+        ("LocalizedWS", {"radius_strikes": 1}, None, None),
+        ("Lifeline", {}, None, None),
+        ("MultiStealWS", {"steal_width": 3}, None, None),
+    ]
+    dispatched = Counter()
+    for name, knobs, plan, interval in cells:
+        _reset_task_ids()
+        spec = ClusterSpec(n_places=4, workers_per_place=2, max_threads=4)
+        rt = SimRuntime(spec, make_scheduler(name, **knobs), seed=7)
+        if plan is not None:
+            FaultInjector(FaultPlan.parse(plan)).attach(rt)
+        bus = EventBus(sample_interval=interval)
+        sink = bus.subscribe(InMemorySink())
+        bus.attach(rt)
+        make_app("uts", scale="test", seed=12345).run(rt)
+        seen = Counter(ev.kind for ev in sink.events)
+        assert seen == bus.counts  # nothing was tallied
+        dispatched += seen
+
+    clock = FakeClock()
+    bus = EventBus()
+    sink = bus.subscribe(InMemorySink())
+    bus.attach_clock(clock)
+    store = make_store(tmp_path, clock=clock, bus=bus, max_attempts=2)
+    store.add_specs(grid_specs()[:1])
+    for owner in ("w1", "w2"):   # reclaimed, then quarantined
+        store.claim(owner, 5.0)
+        clock.advance(6.0)
+        store.reap()
+    seen = Counter(ev.kind for ev in sink.events)
+    assert seen == bus.counts
+    dispatched += seen
+    assert set(dispatched) == set(EVENT_SCHEMA)
 
 
 def _routed_run(metrics_cls, chrome_cls, recorder_cls, trace_path):

@@ -34,6 +34,7 @@ import hashlib
 import io
 import json
 import os
+from collections import Counter
 
 import pytest
 
@@ -42,6 +43,7 @@ from repro.cluster.topology import ClusterSpec
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.obs import EventBus, InMemorySink, JsonlSink, MetricsRegistry
+from repro.obs.bus import _STEAL_LIFECYCLE
 from repro.runtime.runtime import SimRuntime
 from repro.runtime.task import _reset_task_ids
 from repro.sched import make_scheduler
@@ -194,14 +196,13 @@ def _tally_cell(key: str, knobs: dict, workers: int, sample_interval,
                 everything: bool, monkeypatch):
     """Run ``key`` on ``workers`` workers a place, observed by
     MetricsRegistry, plus a consume-everything sink when ``everything``.
-    Returns the snapshot's ``obs`` and ``steals`` blocks and the number
-    of ``steal_attempt`` events that reached :meth:`EventBus.emit_at`."""
+    Returns the snapshot's ``obs`` and ``steals`` blocks and the events
+    that reached :meth:`EventBus.emit_at`, counted by kind."""
     emit_at = EventBus.emit_at
-    dispatched = []
+    dispatched = Counter()
 
     def counting_emit_at(self, t, kind, fields):
-        if kind == "steal_attempt":
-            dispatched.append(t)
+        dispatched[kind] += 1
         emit_at(self, t, kind, fields)
 
     monkeypatch.setattr(EventBus, "emit_at", counting_emit_at)
@@ -213,7 +214,7 @@ def _tally_cell(key: str, knobs: dict, workers: int, sample_interval,
     bus.attach(rt)
     snap = make_app(app, scale="test", seed=12345).run(rt).snapshot()
     monkeypatch.undo()
-    return snap["obs"], snap["steals"], len(dispatched)
+    return snap["obs"], snap["steals"], dispatched
 
 
 @pytest.mark.parametrize("interval", [None, 100_000, 7_919])
@@ -222,24 +223,28 @@ def _tally_cell(key: str, knobs: dict, workers: int, sample_interval,
                               for key, _, w in _TALLY_CELLS])
 def test_tallied_attempts_match_dispatched_attempts(key, knobs, workers,
                                                     interval, monkeypatch):
-    """With no sink reading ``steal_attempt``, the collapsed round and
-    the steal scan count attempts instead of dispatching each: the event
-    counts and the metrics block equal a run whose consume-everything
-    sink forces per-event dispatch.  The 7_919-cycle sampler falls due
-    inside rounds, where attempts must be dispatched one by one."""
-    tallied, steals, n_dispatched = _tally_cell(
+    """Every emission site counts an event no sink reads instead of
+    dispatching it: the event counts and the metrics block equal a run
+    whose consume-everything sink forces per-event dispatch of every
+    kind.  The 7_919-cycle sampler falls due inside rounds, where events
+    must be dispatched one by one."""
+    tallied, steals, dispatched = _tally_cell(
         key, knobs, workers, interval, False, monkeypatch)
-    dispatched, _, _ = _tally_cell(key, knobs, workers, interval, True,
-                                   monkeypatch)
-    assert tallied == dispatched
+    everything, _, all_dispatched = _tally_cell(
+        key, knobs, workers, interval, True, monkeypatch)
+    assert tallied == everything
+    assert all_dispatched == Counter(everything["events"])
     if interval is None:
-        # Not vacuous: with no sink reading attempts and no sampler,
-        # every local and shared attempt is counted, most of them
-        # without ever reaching emit_at.
-        n_attempts = tallied["events"]["steal_attempt"]
-        assert n_attempts == (steals["local_attempts"]
-                              + steals["shared_local_attempts"])
-        assert n_attempts > n_dispatched
+        # Not vacuous: with no sampler, exactly the kinds a sink reads
+        # and the steal-lifecycle kinds reach emit_at, each every time.
+        read = MetricsRegistry.consumes | _STEAL_LIFECYCLE
+        assert dispatched == Counter({k: n for k, n in
+                                      tallied["events"].items()
+                                      if k in read})
+        assert set(tallied["events"]) - read >= {
+            "steal_attempt", "task_start", "worker_park"}
+        assert tallied["events"]["steal_attempt"] == (
+            steals["local_attempts"] + steals["shared_local_attempts"])
 
 
 # -- bounded memory ---------------------------------------------------------

@@ -44,17 +44,28 @@ class _DummyWorker:
         self.place = place
 
 
+class _DummyEnv:
+    now = 0.0
+
+
 class _DummyRuntime:
     def __init__(self, places=(), obs=None) -> None:
         self.places = list(places)
         self.obs = obs
+        self.env = _DummyEnv()
 
 
 class _RecordingBus:
+    """Reads every kind: ``tally`` counts nothing, so each event is
+    dispatched to ``emit_at``."""
+
     def __init__(self) -> None:
         self.events = []
 
-    def emit(self, kind, **fields):
+    def tally(self, kind, t_last, n=1):
+        return False
+
+    def emit_at(self, t, kind, fields):
         self.events.append((kind, fields))
 
 

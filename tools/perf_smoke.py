@@ -17,9 +17,9 @@ It also asserts correctness on the way: simulated metrics (makespan,
 steal counts, ...) must be *identical* between the two variants —
 observation may cost wall clock, never simulated behaviour.  And the
 instrumented variant runs once more with a sink that reads every event
-kind, so ``EventBus.tally`` counts nothing and every steal attempt is
+kind, so ``EventBus.tally`` counts nothing and every event is
 dispatched: its event counts and metrics block must equal those of the
-run whose unread attempts ``EventBus.tally`` counted.
+run whose unread events, of every kind, ``EventBus.tally`` counted.
 
 Usage:
     PYTHONPATH=src python tools/perf_smoke.py \
@@ -135,8 +135,9 @@ def main(argv=None) -> int:
         print(f"\nFAIL: observability overhead {ratio:.2f}x exceeds the "
               f"{args.max_overhead:.2f}x bound", file=sys.stderr)
         return 1
-    print("\nOK: simulated metrics identical, tallied counts and metrics "
-          "match per-event dispatch, overhead within bound")
+    print("\nOK: simulated metrics identical, counts and metrics with "
+          "every unread kind tallied match per-event dispatch, overhead "
+          "within bound")
     return 0
 
 
