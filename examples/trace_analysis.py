@@ -15,7 +15,7 @@ It also writes ``trace_analysis.trace.json`` into ``out/`` (or the
 directory named as the third argument): open it in Perfetto
 (https://ui.perfetto.dev) or ``chrome://tracing`` to see one process row
 per place and one thread lane per worker.  To compare two runs
-numerically, save snapshots with ``repro profile --snapshot a.json`` and
+numerically, save snapshots with ``repro run --snapshot a.json`` and
 inspect them with ``repro diff-stats a.json b.json``.
 
 Run:  python examples/trace_analysis.py [app] [scheduler] [out-dir]

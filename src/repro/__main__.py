@@ -3,11 +3,10 @@
 Subcommands:
 
 - ``run`` — one (application, scheduler, cluster) simulation with a
-  metrics summary;
-- ``trace`` — record a run's execution trace; print critical path +
-  timeline;
-- ``profile`` — run with the observability bus attached: metric
-  histograms, optional Chrome trace / JSONL event stream / snapshot;
+  metrics summary; optionally faulted (``--faults``), knobbed
+  (``--sched-arg``/``--controller``), observed (metric histograms,
+  Chrome trace, JSONL event stream, snapshot) and traced (critical
+  path, timeline, steal flow);
 - ``diff-stats`` — compare two saved snapshots, optionally failing on
   regression;
 - ``reproduce`` — regenerate paper artifacts (tables/figures) by name;
@@ -41,6 +40,7 @@ from repro import SCHEDULERS, ClusterSpec, SimRuntime, make_scheduler
 from repro.apps import APP_REGISTRY, make_app
 from repro.harness import EXPERIMENTS
 from repro.harness.tables import render_table
+from repro.sched import resolve_scheduler
 
 
 def _cmd_list(_args) -> int:
@@ -58,16 +58,6 @@ def _cmd_list(_args) -> int:
         print(render_table(["knob", "type", "default", "description"],
                            rows, title=sched))
     return 0
-
-
-def _canon_scheduler(name: str) -> str:
-    """Resolve a scheduler name case-insensitively (CLI convenience)."""
-    for known in SCHEDULERS:
-        if known.lower() == name.lower():
-            return known
-    from repro.errors import ConfigError
-    raise ConfigError(
-        f"unknown scheduler {name!r}; known: {sorted(SCHEDULERS)}")
 
 
 def _resolve_fault_plan(args, spec, knobs):
@@ -111,10 +101,57 @@ def _fault_rows(faults) -> list:
     return rows
 
 
+def _observe(args, rt):
+    """Attach the bus the observer flags ask for; its metrics registry.
+
+    Any of ``--chrome-trace``, ``--events``, ``--snapshot`` and
+    ``--sample-interval`` attaches one bus with a metrics registry;
+    without them the run is bare and this returns ``None``.
+    """
+    if not (args.chrome_trace or args.events or args.snapshot
+            or args.sample_interval is not None):
+        return None
+    from repro.obs import ChromeTraceSink, EventBus, JsonlSink, MetricsRegistry
+
+    interval = args.sample_interval
+    bus = EventBus(sample_interval=100_000 if interval is None else interval)
+    metrics = bus.subscribe(MetricsRegistry())
+    if args.chrome_trace:
+        bus.subscribe(ChromeTraceSink(args.chrome_trace))
+    if args.events:
+        bus.subscribe(JsonlSink(path=args.events))
+    bus.attach(rt)
+    return metrics
+
+
+def _print_trace(args, recorder) -> None:
+    """Write the recorded trace; print critical path, timeline, flow."""
+    from repro.analysis import (
+        critical_path,
+        place_timeline,
+        steal_flow,
+        trace_to_json,
+    )
+
+    trace = recorder.finalize()
+    with open(args.trace_json, "w") as fh:
+        fh.write(trace_to_json(trace, indent=1))
+    print(f"\ntrace written to {args.trace_json}")
+    print(critical_path(trace).describe())
+    print()
+    print(place_timeline(trace, width=64,
+                         title=f"{args.app} under {args.scheduler}"))
+    print()
+    print(steal_flow(trace))
+
+
 def _cmd_run(args) -> int:
+    import json
+
     from repro.harness import execution
     from repro.tune import make_controller, parse_sched_args
 
+    args.scheduler = resolve_scheduler(args.scheduler)
     spec = ClusterSpec(n_places=args.places,
                        workers_per_place=args.workers,
                        max_threads=args.workers + 4)
@@ -131,6 +168,11 @@ def _cmd_run(args) -> int:
     if plan is not None:
         from repro.faults import FaultInjector
         FaultInjector(plan).attach(rt)
+    metrics = _observe(args, rt)
+    recorder = None
+    if args.trace_json:
+        from repro.analysis import TraceRecorder
+        recorder = TraceRecorder(rt)  # joins the observers' bus, if any
     stats = app.run(rt, validate=not args.no_validate)
     rows = [[k, v] for k, v in stats.summary().items()]
     print(render_table(["metric", "value"], rows,
@@ -142,48 +184,33 @@ def _cmd_run(args) -> int:
                            _fault_rows(stats.faults),
                            title="fault injection"))
     if args.controller:
-        import json
         print()
         snap = sched.controller.snapshot()
         print(render_table(
             ["controller state", "value"],
             [[k, json.dumps(snap[k])] for k in sorted(snap)],
             title=f"online controller ({args.controller})"))
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    import json
-
-    from repro.harness import bench
-
-    # The full run also covers the quick cells so a committed report can
-    # gate CI's --quick smoke run against the same baseline file.
-    cells = bench.QUICK_GRID if args.quick \
-        else bench.DEFAULT_GRID + bench.QUICK_GRID
-    if args.profile:
-        # Profile-only mode: instrumented walls are meaningless, so no
-        # timing report is produced and no baseline gate applies.
-        for cell in cells:
-            print(bench.profile_cell(cell, top_n=args.profile_top))
-        return 0
-    repeats = args.repeats if args.repeats is not None \
-        else (2 if args.quick else 3)
-    report = bench.run_grid(cells, repeats=repeats)
-    print(bench.render(report))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(bench.to_json(report))
-        print(f"\n[report written to {args.out}]")
-    if args.baseline:
-        with open(args.baseline) as fh:
-            baseline = json.load(fh)
-        ok, lines = bench.compare(baseline, report,
-                                  max_regression_pct=args.max_regression)
-        print("\nbaseline comparison:")
-        print("\n".join(lines))
-        if not ok:
-            return 1
+    if metrics is not None:
+        print()
+        print(render_table(["histogram", "count", "mean", "p50", "p90",
+                            "max"],
+                           metrics.summary_rows(), title="metric histograms"))
+        counts = stats.snapshot()["obs"]["events"]
+        print()
+        print(render_table(["event", "count"],
+                           [[k, counts[k]] for k in sorted(counts)],
+                           title="event counts"))
+    if recorder is not None:
+        _print_trace(args, recorder)
+    if args.chrome_trace:
+        print(f"\n[chrome trace written to {args.chrome_trace} — open in "
+              "https://ui.perfetto.dev]")
+    if args.events:
+        print(f"[event stream written to {args.events}]")
+    if args.snapshot:
+        with open(args.snapshot, "w") as fh:
+            fh.write(json.dumps(stats.snapshot(), sort_keys=True, indent=1))
+        print(f"[snapshot written to {args.snapshot}]")
     return 0
 
 
@@ -202,7 +229,7 @@ def _cmd_tune(args) -> int:
                        workers_per_place=args.workers,
                        max_threads=args.workers + 4)
     apps = args.app or ["uts"]
-    schedulers = [_canon_scheduler(s)
+    schedulers = [resolve_scheduler(s)
                   for s in (args.scheduler or ["DistWS"])]
     seeds = tuple(range(1, args.seeds + 1))
     cells = [TuneCell(app=app, scheduler=sched, spec=spec,
@@ -245,7 +272,7 @@ def _cmd_theory(args) -> int:
                        workers_per_place=args.workers,
                        max_threads=args.workers + 4)
     apps = args.app or ["uts"]
-    schedulers = [_canon_scheduler(s)
+    schedulers = [resolve_scheduler(s)
                   for s in (args.scheduler or ["RandomWS", "DistWS"])]
     if args.lambdas:
         lambdas = tuple(args.lambdas)
@@ -275,79 +302,6 @@ def _cmd_theory(args) -> int:
         print("error: a measured makespan beat the W/p lower bound "
               "(simulator physics bug)", file=sys.stderr)
         return 1
-    return 0
-
-
-def _cmd_trace(args) -> int:
-    from repro.analysis import (
-        TraceRecorder,
-        critical_path,
-        place_timeline,
-        steal_flow,
-        trace_to_json,
-    )
-    spec = ClusterSpec(n_places=args.places,
-                       workers_per_place=args.workers,
-                       max_threads=args.workers + 4)
-    rt = SimRuntime(spec, make_scheduler(args.scheduler),
-                    seed=args.sched_seed)
-    recorder = TraceRecorder(rt)
-    app = make_app(args.app, scale=args.scale, seed=args.seed)
-    stats = app.run(rt)
-    trace = recorder.finalize()
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(trace_to_json(trace, indent=1))
-        print(f"trace written to {args.json}")
-    print(critical_path(trace).describe())
-    print()
-    print(place_timeline(trace, width=64,
-                         title=f"{args.app} under {args.scheduler}"))
-    print()
-    print(steal_flow(trace))
-    return 0
-
-
-def _cmd_profile(args) -> int:
-    import json
-
-    from repro.obs import ChromeTraceSink, EventBus, JsonlSink, MetricsRegistry
-
-    spec = ClusterSpec(n_places=args.places,
-                       workers_per_place=args.workers,
-                       max_threads=args.workers + 4)
-    rt = SimRuntime(spec, make_scheduler(args.scheduler),
-                    seed=args.sched_seed)
-    bus = EventBus(sample_interval=args.sample_interval)
-    metrics = bus.subscribe(MetricsRegistry())
-    if args.chrome_trace:
-        bus.subscribe(ChromeTraceSink(args.chrome_trace))
-    if args.events:
-        bus.subscribe(JsonlSink(path=args.events))
-    bus.attach(rt)
-    app = make_app(args.app, scale=args.scale, seed=args.seed)
-    stats = app.run(rt)
-    rows = [[k, v] for k, v in stats.summary().items()]
-    print(render_table(["metric", "value"], rows,
-                       title=f"{args.app} under {args.scheduler} on "
-                             f"{spec.n_places}x{spec.workers_per_place}"))
-    print()
-    print(render_table(["histogram", "count", "mean", "p50", "p90", "max"],
-                       metrics.summary_rows(), title="metric histograms"))
-    counts = stats.snapshot()["obs"]["events"]
-    print()
-    print(render_table(["event", "count"],
-                       [[k, counts[k]] for k in sorted(counts)],
-                       title="event counts"))
-    if args.chrome_trace:
-        print(f"\n[chrome trace written to {args.chrome_trace} — open in "
-              "https://ui.perfetto.dev]")
-    if args.events:
-        print(f"[event stream written to {args.events}]")
-    if args.snapshot:
-        with open(args.snapshot, "w") as fh:
-            fh.write(json.dumps(stats.snapshot(), sort_keys=True, indent=1))
-        print(f"[snapshot written to {args.snapshot}]")
     return 0
 
 
@@ -415,7 +369,7 @@ def _enqueue_grid(args):
                        max_threads=args.workers_per_place + 4)
     sched_kwargs = parse_sched_args_any(args.sched_arg)
     apps = args.app or ["uts", "quicksort", "dmg"]
-    schedulers = [_canon_scheduler(s)
+    schedulers = [resolve_scheduler(s)
                   for s in (args.scheduler or ["DistWS", "X10WS",
                                                "RandomWS"])]
     seeds = tuple(range(1, args.seeds + 1))
@@ -452,14 +406,7 @@ def _cmd_enqueue(args) -> int:
 
 
 def _cmd_workers(args) -> int:
-    import multiprocessing
-
-    from repro.harness.db import (
-        ExperimentStore,
-        drain,
-        graceful_signals,
-        run_worker,
-    )
+    from repro.harness.db import ExperimentStore, drain_with_helpers
     from repro.obs.fleet import FleetTelemetry
 
     bus = None
@@ -473,48 +420,18 @@ def _cmd_workers(args) -> int:
                            trace_dir=args.trace_dir)
     store = ExperimentStore(args.store, max_attempts=args.max_attempts,
                             bus=bus)
-    helpers = []
-    mp = multiprocessing.get_context()
-    for _ in range(args.workers - 1):
-        proc = mp.Process(
-            target=run_worker, args=(args.store,),
-            kwargs={"heartbeat_seconds": args.heartbeat,
-                    "lease_seconds": args.lease,
-                    "poll_seconds": args.poll,
-                    "max_attempts": args.max_attempts,
-                    "fleet": fleet})
-        proc.start()
-        helpers.append(proc)
     completed = 0
     code = 0
     try:
-        try:
-            with graceful_signals():
-                completed = drain(store,
-                                  heartbeat_seconds=args.heartbeat,
-                                  lease_seconds=args.lease,
-                                  poll_seconds=args.poll,
-                                  fleet=fleet)
-        except KeyboardInterrupt:
-            print("\ninterrupted: lease released; stopping workers "
-                  "(re-run `repro workers` to resume the sweep)",
-                  file=sys.stderr)
-            for proc in helpers:
-                proc.terminate()  # SIGTERM: children release leases too
-            code = 130
-        except BaseException:
-            # Any coordinator error (schema mismatch, StoreError, ...):
-            # don't let the finally's join hide it behind helpers that
-            # would otherwise drain the whole store first.
-            for proc in helpers:
-                proc.terminate()
-            raise
+        completed = drain_with_helpers(
+            store, args.workers - 1, heartbeat_seconds=args.heartbeat,
+            lease_seconds=args.lease, poll_seconds=args.poll, fleet=fleet)
+    except KeyboardInterrupt:
+        print("\ninterrupted: leases released, workers stopped "
+              "(re-run `repro workers` to resume the sweep)",
+              file=sys.stderr)
+        code = 130
     finally:
-        for proc in helpers:
-            proc.join(timeout=30.0)
-            if proc.is_alive():  # pragma: no cover - defensive
-                proc.terminate()
-                proc.join()
         counts = store.counts()
         failed = store.rows(status="failed") if counts["failed"] else []
         if bus is not None:
@@ -580,7 +497,7 @@ def _cmd_query(args) -> int:
         if args.app:
             rows = [r for r in rows if r.payload.get("app") == args.app]
         if args.scheduler:
-            want = _canon_scheduler(args.scheduler)
+            want = resolve_scheduler(args.scheduler)
             rows = [r for r in rows
                     if r.payload.get("scheduler") == want]
         if args.rollup:
@@ -847,7 +764,7 @@ def main(argv=None) -> int:
     runp.add_argument("--app", default="turing",
                       choices=sorted(APP_REGISTRY))
     runp.add_argument("--scheduler", default="DistWS",
-                      choices=sorted(SCHEDULERS))
+                      help="registry name, any case (see `repro list`)")
     runp.add_argument("--places", type=int, default=16)
     runp.add_argument("--workers", type=int, default=8)
     runp.add_argument("--seed", type=int, default=12345,
@@ -870,43 +787,29 @@ def main(argv=None) -> int:
     runp.add_argument("--controller", metavar="NAME",
                       help="attach an online feedback controller "
                            "(aimd-chunk or idle-threshold)")
-
-    tracep = sub.add_parser("trace",
-                            help="trace a run; print critical path + "
-                                 "timeline")
-    tracep.add_argument("--app", default="dmg",
-                        choices=sorted(APP_REGISTRY))
-    tracep.add_argument("--scheduler", default="DistWS",
-                        choices=sorted(SCHEDULERS))
-    tracep.add_argument("--places", type=int, default=8)
-    tracep.add_argument("--workers", type=int, default=4)
-    tracep.add_argument("--seed", type=int, default=12345)
-    tracep.add_argument("--sched-seed", type=int, default=1)
-    tracep.add_argument("--scale", default="test",
-                        choices=("bench", "test"))
-    tracep.add_argument("--json", help="also write the trace as JSON")
-
-    profp = sub.add_parser("profile",
-                           help="run with the observability bus attached")
-    profp.add_argument("--app", default="dmg",
-                       choices=sorted(APP_REGISTRY))
-    profp.add_argument("--scheduler", default="DistWS",
-                       choices=sorted(SCHEDULERS))
-    profp.add_argument("--places", type=int, default=8)
-    profp.add_argument("--workers", type=int, default=4)
-    profp.add_argument("--seed", type=int, default=12345)
-    profp.add_argument("--sched-seed", type=int, default=1)
-    profp.add_argument("--scale", default="test",
-                       choices=("bench", "test"))
-    profp.add_argument("--sample-interval", type=float, default=100_000,
-                       help="queue-depth sampling period in cycles")
-    profp.add_argument("--chrome-trace", metavar="PATH",
-                       help="write a Chrome trace-event file "
-                            "(Perfetto / chrome://tracing)")
-    profp.add_argument("--events", metavar="PATH",
-                       help="stream every event as JSONL to PATH")
-    profp.add_argument("--snapshot", metavar="PATH",
-                       help="write the full RunStats snapshot as JSON")
+    # Observers.  Any of the first four attaches the event bus with a
+    # metrics registry; --trace-json alone subscribes only its recorder.
+    runp.add_argument("--chrome-trace", metavar="PATH",
+                      help="write a Chrome trace-event file "
+                           "(Perfetto / chrome://tracing); attaches the "
+                           "event bus")
+    runp.add_argument("--events", metavar="PATH",
+                      help="stream every event as JSONL to PATH; "
+                           "attaches the event bus")
+    runp.add_argument("--snapshot", metavar="PATH",
+                      help="write the full RunStats snapshot as JSON; on "
+                           "its own it attaches the event bus too, so the "
+                           "snapshot always carries the obs block")
+    runp.add_argument("--sample-interval", type=float, default=None,
+                      metavar="CYCLES",
+                      help="queue-depth sampling period (default 100000 "
+                           "whenever the bus is attached); on its own it "
+                           "attaches the bus and prints the metric "
+                           "histograms and event counts, writing nothing")
+    runp.add_argument("--trace-json", metavar="PATH",
+                      help="record the execution trace, write it as JSON "
+                           "and print the critical path, per-place "
+                           "timeline and steal flow")
 
     diffp = sub.add_parser("diff-stats",
                            help="compare two saved run snapshots")
@@ -1208,34 +1111,6 @@ def main(argv=None) -> int:
     loadp.add_argument("--svg", metavar="PATH",
                        help="write the latency percentile figure here")
 
-    benchp = sub.add_parser("bench",
-                            help="kernel performance benchmark "
-                                 "(wall-clock / events-per-sec grid)")
-    benchp.add_argument("--quick", action="store_true",
-                        help="small sub-second grid (CI smoke)")
-    benchp.add_argument("--repeats", type=_positive_int, default=None,
-                        metavar="N",
-                        help="timing repeats per cell "
-                             "(default: 3 full, 2 quick)")
-    benchp.add_argument("--out", metavar="PATH",
-                        help="write the JSON report here")
-    benchp.add_argument("--baseline", metavar="PATH",
-                        help="compare against a saved report "
-                             "(e.g. BENCH_kernel.json); exit 1 on "
-                             "regression or simulated-metric drift")
-    benchp.add_argument("--max-regression", type=float, default=20.0,
-                        metavar="PCT",
-                        help="allowed normalized wall-clock regression "
-                             "in percent (default 20)")
-    benchp.add_argument("--profile", action="store_true",
-                        help="run each cell once under cProfile and dump "
-                             "the hottest functions instead of timing "
-                             "(--out/--baseline are ignored)")
-    benchp.add_argument("--profile-top", type=_positive_int, default=25,
-                        metavar="N",
-                        help="functions shown per cell with --profile "
-                             "(default 25)")
-
     args = parser.parse_args(argv)
     from repro.errors import ConfigError
     from repro.harness.db import graceful_signals
@@ -1243,14 +1118,8 @@ def main(argv=None) -> int:
         with graceful_signals():
             if args.command == "list":
                 return _cmd_list(args)
-            if args.command == "bench":
-                return _cmd_bench(args)
             if args.command == "run":
                 return _cmd_run(args)
-            if args.command == "trace":
-                return _cmd_trace(args)
-            if args.command == "profile":
-                return _cmd_profile(args)
             if args.command == "diff-stats":
                 return _cmd_diff_stats(args)
             if args.command == "tune":
@@ -1276,8 +1145,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:
-        # Pools cancelled their queued futures and workers released
-        # their leases on the way out; exit with the interrupt code.
+        # Held leases were released and helper processes terminated
+        # and joined on the way out; exit with the interrupt code.
         print("\ninterrupted", file=sys.stderr)
         return 130
 

@@ -197,43 +197,6 @@ def run_cell(cell: Dict, repeats: int = 3) -> Dict:
     }
 
 
-def profile_cell(cell: Dict, top_n: int = 25) -> str:
-    """Run one grid cell once under ``cProfile``; return the hot functions.
-
-    The profiled run is *separate* from any timed run — instrumentation
-    inflates wall time several-fold, so profile output and timing reports
-    must never mix.  Functions are ranked by ``tottime`` (self time), the
-    ranking that points at the simulator's actual hot loops rather than
-    the call-graph roots that merely contain them.
-    """
-    import cProfile
-    import io
-    import pstats
-
-    from repro import ClusterSpec, SimRuntime, make_scheduler
-    from repro.apps import make_app
-    from repro.runtime.task import _reset_task_ids
-
-    _reset_task_ids()
-    spec = ClusterSpec(n_places=cell["places"],
-                       workers_per_place=cell["workers"],
-                       max_threads=cell["workers"] + 4)
-    rt = SimRuntime(spec, make_scheduler(cell["scheduler"]),
-                    seed=cell.get("sched_seed", SCHED_SEED))
-    app = make_app(cell["app"], scale=cell["scale"],
-                   seed=cell.get("app_seed", APP_SEED))
-    prof = cProfile.Profile()
-    prof.enable()
-    app.run(rt, validate=False)
-    prof.disable()
-    buf = io.StringIO()
-    stats = pstats.Stats(prof, stream=buf)
-    stats.sort_stats("tottime").print_stats(top_n)
-    head = (f"=== profile: {cell_key(cell)} "
-            f"({rt.env.events_processed} events)")
-    return head + " ===\n" + buf.getvalue()
-
-
 def run_grid(cells: List[Dict], repeats: int = 3) -> Dict:
     """Run the whole grid and assemble the benchmark report."""
     report: Dict[str, object] = {

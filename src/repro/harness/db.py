@@ -845,16 +845,59 @@ def drain(store: ExperimentStore, owner: Optional[str] = None,
     return completed
 
 
+def drain_with_helpers(store: ExperimentStore, helpers: int,
+                       fleet: Optional["object"] = None,
+                       **lease_kwargs) -> int:
+    """Drain ``store`` here while ``helpers`` processes drain it too.
+
+    Each helper is a :func:`run_worker` process on ``store.path`` with
+    ``store.max_attempts``, ``fleet`` and the same ``lease_kwargs``
+    (``heartbeat_seconds``, ``lease_seconds``, ``poll_seconds``; those
+    not given keep :func:`drain`'s defaults).  The calling process
+    drains alongside them, then joins them.  On any exception or
+    interrupt here (a SIGTERM under :func:`graceful_signals` included)
+    every helper is terminated first, so each releases its held lease
+    and exits instead of draining the rest of the store before the join
+    returns.  With ``helpers=0`` this is exactly :func:`drain`.
+    Returns the number of cells this process completed.
+    """
+    import multiprocessing
+
+    mp = multiprocessing.get_context()
+    procs = []
+    try:
+        for _ in range(helpers):
+            proc = mp.Process(
+                target=run_worker, args=(store.path,),
+                kwargs={"max_attempts": store.max_attempts,
+                        "fleet": fleet, **lease_kwargs},
+                daemon=True)
+            proc.start()
+            procs.append(proc)
+        return drain(store, fleet=fleet, **lease_kwargs)
+    except BaseException:
+        for proc in procs:
+            proc.terminate()  # SIGTERM: the helper releases its lease
+        raise
+    finally:
+        for proc in procs:
+            proc.join(timeout=30.0)
+            if proc.is_alive():  # pragma: no cover - defensive
+                proc.terminate()
+                proc.join()
+
+
 @contextmanager
 def graceful_signals():
     """Convert ``SIGTERM`` into :class:`KeyboardInterrupt` for the block.
 
-    Long-running harness commands (``repro workers``, ``repro reproduce
-    --parallel``) wrap their body in this so a ``kill`` (or a SIGINT)
-    unwinds through the normal interrupt path — releasing held leases
-    and joining helper processes — instead of dying with a bare
-    traceback mid-write.  A no-op off the main thread (signal handlers
-    can only be installed there).
+    ``repro``'s ``main`` wraps every command in this, and each
+    :func:`run_worker` helper its drain, so a ``kill`` (or a SIGINT)
+    unwinds through the normal interrupt path instead of dying with a
+    bare traceback mid-write: :func:`run_claimed` releases the held
+    lease, and :func:`drain_with_helpers` terminates and joins its
+    helpers.  A no-op off the main thread (signal handlers can only be
+    installed there).
     """
     if threading.current_thread() is not threading.main_thread():
         yield
@@ -879,9 +922,9 @@ def run_worker(path: str, owner: Optional[str] = None,
     """Process entry point: open ``path`` and :func:`drain` it.
 
     Picklable by construction so it works as a ``multiprocessing``
-    target (the ``repro workers`` CLI and the ``ExecutionContext`` store
-    backend both spawn it).  SIGTERM/SIGINT release the held lease and
-    exit cleanly instead of stranding it until lease expiry.
+    target (:func:`drain_with_helpers` spawns it).  SIGTERM/SIGINT
+    release the held lease and exit cleanly instead of stranding it
+    until lease expiry.
     """
     store = ExperimentStore(path, max_attempts=max_attempts)
     try:

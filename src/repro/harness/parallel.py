@@ -228,11 +228,15 @@ class ExecutionContext:
 
     With ``store=`` set, specs are enqueued as rows and drained through
     the store's lease/heartbeat/reaper protocol with fleet telemetry on:
-    up to ``parallel - 1`` helper worker processes are spawned (the
-    coordinator drains too), cells finished by a *previous* run of the
-    same store are never re-simulated, and external ``repro workers``
-    processes on the same host may drain the same store concurrently
-    (WAL does not span machines — see the db module docstring).
+    :func:`~repro.harness.db.drain_with_helpers` spawns up to
+    ``parallel - 1`` helper worker processes, as ``repro workers``
+    does, and drains in this process too; an interrupt (SIGINT, or
+    SIGTERM under ``graceful_signals``) terminates and joins the
+    helpers, each releasing its lease, before it propagates.  Cells
+    finished by a *previous* run of the same store are never
+    re-simulated, and external ``repro workers`` processes on the same
+    host may drain the same store concurrently (WAL does not span
+    machines — see the db module docstring).
 
     With ``parallel > 1`` and no store, a grid of more than one spec
     drains a private store in a temporary directory the same way, with
@@ -298,30 +302,12 @@ class ExecutionContext:
         rest of the grid completes.  ``fleet`` is the telemetry config
         of the coordinator and its helpers (``None``: default-on).
         """
-        import multiprocessing
-
-        from repro.harness.db import QuarantinedError, drain, run_worker
+        from repro.harness.db import QuarantinedError, drain_with_helpers
 
         keyed = {spec.cache_key(): indices for indices, spec in todo}
         store.add_specs([spec for _, spec in todo])
-        helpers = []
-        mp = multiprocessing.get_context()
-        for _ in range(min(self.parallel, len(todo)) - 1):
-            proc = mp.Process(
-                target=run_worker, args=(store.path,),
-                kwargs={"max_attempts": store.max_attempts,
-                        "fleet": fleet},
-                daemon=True)
-            proc.start()
-            helpers.append(proc)
-        try:
-            self.simulations += drain(store, fleet=fleet)
-        finally:
-            for proc in helpers:
-                proc.join(timeout=30.0)
-                if proc.is_alive():  # pragma: no cover - defensive
-                    proc.terminate()
-                    proc.join()
+        self.simulations += drain_with_helpers(
+            store, min(self.parallel, len(todo)) - 1, fleet=fleet)
         statuses = store.statuses(keyed)
         failures = {key: store.get_error(key) or ""
                     for key, status in sorted(statuses.items())

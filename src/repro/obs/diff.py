@@ -1,7 +1,7 @@
 """Snapshot diffing for regression tracking (``repro diff-stats``).
 
 Compares two ``RunStats.snapshot()`` JSON documents (as written by
-``repro profile --snapshot``) leaf-by-leaf: nested dicts flatten to
+``repro run --snapshot``) leaf-by-leaf: nested dicts flatten to
 dotted paths, lists to indexed paths, and every changed numeric leaf
 gets an absolute and relative delta.  The CLI exits non-zero when any
 relative delta exceeds ``--fail-over`` — the hook a perf-regression CI

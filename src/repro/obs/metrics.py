@@ -12,7 +12,7 @@ observables from the event stream:
   (``EventBus(sample_interval=...)``).
 
 Everything is surfaced through ``RunStats.snapshot()["obs"]["metrics"]``
-(deterministically ordered, JSON-safe) and the ``repro profile`` CLI.
+(deterministically ordered, JSON-safe) and ``repro run``'s observer flags.
 """
 
 from __future__ import annotations

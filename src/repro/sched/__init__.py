@@ -11,6 +11,7 @@
 - :class:`LocalizedWS` — bounded steal radius with strike-based fallback.
 """
 
+from repro.errors import ConfigError
 from repro.sched.adaptive import AdaptiveDistWS
 from repro.sched.base import Scheduler, StealToken
 from repro.sched.distws import DistWS
@@ -36,14 +37,22 @@ SCHEDULERS = {
 }
 
 
+def resolve_scheduler(name: str) -> str:
+    """The registry name ``name`` denotes, matched case-insensitively.
+
+    Raises :class:`ConfigError` listing the known names when none
+    matches.
+    """
+    for known in SCHEDULERS:
+        if known.lower() == name.lower():
+            return known
+    raise ConfigError(
+        f"unknown scheduler {name!r}; known: {sorted(SCHEDULERS)}")
+
+
 def make_scheduler(name: str, **kwargs) -> Scheduler:
-    """Instantiate a scheduler by registry name."""
-    try:
-        cls = SCHEDULERS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown scheduler {name!r}; known: {sorted(SCHEDULERS)}") from None
-    return cls(**kwargs)
+    """Instantiate a scheduler by (case-insensitive) registry name."""
+    return SCHEDULERS[resolve_scheduler(name)](**kwargs)
 
 
 __all__ = [
@@ -61,4 +70,5 @@ __all__ = [
     "X10WS",
     "lifeline_graph",
     "make_scheduler",
+    "resolve_scheduler",
 ]

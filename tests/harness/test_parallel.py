@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import pickle
+import sys
 
 import pytest
 
@@ -234,6 +235,34 @@ class TestStoreHelpers:
             assert len(started) == 1
         ExecutionContext(parallel=8).run_specs(specs[3:])
         assert len(started) == 3
+
+    def test_interrupted_sweep_stops_its_helpers(self, tmp_path):
+        """SIGTERM to a two-process ``--parallel`` sweep's coordinator
+        while cells are in flight and pending: it exits with the
+        interrupt code well inside the 30 s helper join, and leaves no
+        helper alive and no row leased."""
+        if not sys.platform.startswith("linux"):
+            pytest.skip("the probe reads helper liveness from /proc")
+        probe = _interrupt_smoke().interrupt_sweep(
+            str(tmp_path / "sweep.db"), parallel=2)
+        assert probe["exit_code"] == 130, probe["stderr"]
+        assert probe["seconds"] < 5.0
+        assert len(probe["helpers"]) == 1
+        assert probe["alive"] == []
+        assert probe["leased"] == 0
+
+
+def _interrupt_smoke():
+    """``tools/interrupt_smoke.py``, the probe CI's parallel-smoke job
+    runs, loaded as a module."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[2] / "tools" / "interrupt_smoke.py"
+    spec = importlib.util.spec_from_file_location("interrupt_smoke", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 #: Bound before any monkeypatching so the kamikaze can defer to it.

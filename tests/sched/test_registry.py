@@ -6,6 +6,9 @@
   (which calls the same hooks) cannot drift from it.  X10WS has no tail.
 - :meth:`Scheduler.bind` starts a run afresh: an instance bound to a
   second runtime behaves exactly like a new one.
+- One rule for names: :func:`resolve_scheduler` matches any case and
+  rejects an unknown name with a :class:`ConfigError` listing the
+  known ones; :func:`make_scheduler` goes through it.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from repro.apps import make_app
 from repro.cluster.topology import ClusterSpec
 from repro.runtime.runtime import SimRuntime
 from repro.runtime.task import _reset_task_ids
-from repro.sched import SCHEDULERS, X10WS, make_scheduler
+from repro.errors import ConfigError
+from repro.sched import SCHEDULERS, X10WS, make_scheduler, resolve_scheduler
 from repro.sched.base import Scheduler
 
 
@@ -47,3 +51,19 @@ def test_rebound_scheduler_runs_like_a_fresh_one(name):
     reused = make_scheduler(name)
     _uts_snapshot(reused)
     assert _uts_snapshot(reused) == _uts_snapshot(make_scheduler(name))
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULERS))
+def test_names_resolve_in_any_case(name):
+    assert resolve_scheduler(name) == name
+    assert resolve_scheduler(name.lower()) == name
+    assert resolve_scheduler(name.upper()) == name
+    assert type(make_scheduler(name.swapcase())) is SCHEDULERS[name]
+
+
+def test_unknown_name_is_a_config_error_listing_the_known_ones():
+    for resolve in (resolve_scheduler, make_scheduler):
+        with pytest.raises(ConfigError) as err:
+            resolve("TurboWS")
+        assert str(err.value) == (
+            f"unknown scheduler 'TurboWS'; known: {sorted(SCHEDULERS)}")

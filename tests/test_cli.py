@@ -26,12 +26,15 @@ class TestCli:
 
     def test_trace_with_json(self, capsys, tmp_path):
         path = tmp_path / "trace.json"
-        code = main(["trace", "--app", "uts", "--scale", "test",
+        code = main(["run", "--app", "uts", "--scale", "test",
                      "--places", "2", "--workers", "2",
-                     "--json", str(path)])
+                     "--trace-json", str(path)])
         assert code == 0
         out = capsys.readouterr().out
         assert "parallelism" in out
+        assert "uts under DistWS" in out  # the place timeline
+        assert "total tasks executed away from home" in out  # steal flow
+        assert "metric histograms" not in out  # the recorder alone
         data = json.loads(path.read_text())
         assert data["tasks"]
 
@@ -46,7 +49,7 @@ class TestCli:
         trace = tmp_path / "run.trace.json"
         events = tmp_path / "events.jsonl"
         snapshot = tmp_path / "snap.json"
-        code = main(["profile", "--app", "uts", "--scale", "test",
+        code = main(["run", "--app", "uts", "--scale", "test",
                      "--places", "2", "--workers", "2",
                      "--chrome-trace", str(trace),
                      "--events", str(events),
@@ -81,16 +84,92 @@ class TestCli:
 
     def test_profile_without_artifact_flags(self, capsys, tmp_path,
                                             monkeypatch):
-        """The default profile path prints tables and writes nothing."""
+        """``--sample-interval`` alone attaches the bus: tables are
+        printed and nothing is written."""
         monkeypatch.chdir(tmp_path)
-        code = main(["profile", "--app", "uts", "--scale", "test",
-                     "--places", "2", "--workers", "2"])
+        code = main(["run", "--app", "uts", "--scale", "test",
+                     "--places", "2", "--workers", "2",
+                     "--sample-interval", "100000"])
         assert code == 0
         out = capsys.readouterr().out
         assert "metric histograms" in out
         assert "event counts" in out
         assert "chrome trace written" not in out
         assert list(tmp_path.iterdir()) == []
+
+    def test_bare_run_attaches_no_bus_and_writes_nothing(
+            self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--app", "uts", "--scale", "test",
+                     "--places", "2", "--workers", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "metric histograms" not in out
+        assert "event counts" not in out
+        assert list(tmp_path.iterdir()) == []
+
+    def test_snapshot_alone_attaches_the_bus(self, capsys, tmp_path):
+        """The rule ``--snapshot``'s help states: on its own it attaches
+        the event bus, so the snapshot carries its obs block."""
+        snapshot = tmp_path / "snap.json"
+        assert main(["run", "--app", "uts", "--scale", "test",
+                     "--places", "2", "--workers", "2",
+                     "--snapshot", str(snapshot)]) == 0
+        out = capsys.readouterr().out
+        assert "metric histograms" in out
+        assert list(tmp_path.iterdir()) == [snapshot]
+        snap = json.loads(snapshot.read_text())
+        assert snap["obs"]["metrics"]
+        assert snap["obs"]["events"]["task_end"] == snap["tasks"]["executed"]
+
+    def test_run_faulted_knobbed_observed_and_traced(self, capsys,
+                                                     tmp_path):
+        """One run takes every fault, knob, observer and trace flag."""
+        trace = tmp_path / "run.trace.json"
+        events = tmp_path / "events.jsonl"
+        snapshot = tmp_path / "snap.json"
+        trace_json = tmp_path / "trace.json"
+        code = main(["run", "--app", "uts", "--scale", "test",
+                     "--places", "2", "--workers", "2",
+                     "--faults", "crash:p1@0.5",
+                     "--sched-arg", "remote_chunk_size=4",
+                     "--chrome-trace", str(trace),
+                     "--events", str(events),
+                     "--snapshot", str(snapshot),
+                     "--trace-json", str(trace_json)])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "[calibration: fault-free makespan" in out
+        assert "fault injection" in out
+        assert "metric histograms" in out
+        assert "critical chain" in out
+        snap = json.loads(snapshot.read_text())
+        assert snap["faults"]["places_crashed"] == [1]
+        assert snap["faults"]["tasks_reexecuted"] > 0
+        assert snap["obs"]["events"]["fault"] > 0
+        assert snap["obs"]["metrics"]
+        # Knobbed: a remote steal moves chunks of up to four tasks.
+        chunks = snap["obs"]["metrics"]["histograms"]["chunk_tasks"]
+        assert chunks["max"] == 4
+        # The recorder joined the observers' bus: one record per task.
+        tasks = json.loads(trace_json.read_text())["tasks"]
+        assert len(tasks) == snap["obs"]["events"]["task_end"]
+        assert {t["exec"] for t in tasks} == {0, 1}
+        assert json.loads(trace.read_text())["traceEvents"]
+        kinds = {json.loads(line)["kind"]
+                 for line in events.read_text().splitlines()}
+        assert {"fault", "task_end", "chunk_arrive"} <= kinds
+
+    def test_run_scheduler_names_are_case_insensitive(self, capsys):
+        assert main(["run", "--app", "uts", "--scale", "test",
+                     "--places", "2", "--workers", "2",
+                     "--scheduler", "distws"]) == 0
+        assert "uts under DistWS" in capsys.readouterr().out
+        assert main(["run", "--app", "uts", "--scale", "test",
+                     "--scheduler", "TurboWS"]) == 2
+        err = capsys.readouterr().err
+        assert "error: unknown scheduler 'TurboWS'; known: [" in err
+        assert "'X10WS'" in err
+        assert "Traceback" not in err
 
     def test_diff_stats_nested_and_missing_keys(self, capsys, tmp_path):
         """Nested snapshots flatten to dotted keys; non-numeric or
@@ -488,6 +567,22 @@ class TestStoreCli:
         out = capsys.readouterr().out
         assert "quarantined" in out
         assert "no_such_parameter" in out
+
+    def test_interrupted_workers_exit_130_with_the_store_table(
+            self, capsys, tmp_path, monkeypatch):
+        import repro.harness.db as db_mod
+
+        store = str(tmp_path / "grid.sqlite")
+        self._enqueue(store, capsys)
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(db_mod, "drain", interrupted)
+        assert main(["workers", "--store", store]) == 130
+        captured = capsys.readouterr()
+        assert "interrupted" in captured.err
+        assert "pending" in captured.out
 
     def test_reproduce_with_store_resumes(self, capsys, tmp_path):
         store = str(tmp_path / "repro.sqlite")

@@ -1,6 +1,11 @@
 #!/usr/bin/env python
 """Kernel benchmark CLI: run the grid, write/compare ``BENCH_kernel.json``.
 
+This is the kernel grid's one front end (CI's ``bench-smoke`` job runs
+it).  A full-grid run rewrites ``BENCH_kernel.json`` at the repository
+root by default; ``--out`` sends the report elsewhere, and ``--quick``
+writes nothing unless ``--out`` is given.
+
 Usage:
     PYTHONPATH=src python tools/bench_kernel.py                 # full grid
     PYTHONPATH=src python tools/bench_kernel.py --quick \\
