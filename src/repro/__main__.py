@@ -362,7 +362,7 @@ def _print_store_summary(args, ctx) -> None:
 def _enqueue_grid(args):
     """Expand the enqueue/workers grid options into RunSpecs."""
     from repro.harness.parallel import CellRequest
-    from repro.tune import parse_sched_args_any
+    from repro.tune import accepted_kwargs, parse_sched_args_any
 
     spec = ClusterSpec(n_places=args.places,
                        workers_per_place=args.workers_per_place,
@@ -379,7 +379,7 @@ def _enqueue_grid(args):
             request = CellRequest.build(
                 app, sched, spec, sched_seeds=seeds,
                 app_seed=args.app_seed, scale=args.scale,
-                sched_kwargs=sched_kwargs)
+                sched_kwargs=accepted_kwargs(sched, sched_kwargs))
             specs.extend(request.to_specs())
     return specs
 
@@ -866,8 +866,8 @@ def main(argv=None) -> int:
                      choices=("bench", "test"))
     enq.add_argument("--sched-arg", action="append",
                      metavar="KEY=VALUE",
-                     help="set a scheduler knob across the grid "
-                          "(repeatable)")
+                     help="set a scheduler knob across the grid; each "
+                          "scheduler takes the knobs it has (repeatable)")
 
     wrk = sub.add_parser("workers",
                          help="drain an experiment store: claim cells "

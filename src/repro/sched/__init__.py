@@ -9,6 +9,9 @@
 - :class:`StealHalfWS` — steal-half chunks (ceil of half the victim deque);
 - :class:`MultiStealWS` — k concurrent steal requests, first-success-wins;
 - :class:`LocalizedWS` — bounded steal radius with strike-based fallback.
+
+Each policy declares its tunable constants once, as the
+:class:`~repro.sched.knobs.Knob` tuple in its ``knobs`` class attribute.
 """
 
 from repro.errors import ConfigError
@@ -16,6 +19,7 @@ from repro.sched.adaptive import AdaptiveDistWS
 from repro.sched.base import Scheduler, StealToken
 from repro.sched.distws import DistWS
 from repro.sched.distws_ns import DistWSNS
+from repro.sched.knobs import Knob
 from repro.sched.lifeline import LifelineWS, lifeline_graph
 from repro.sched.localized import LocalizedWS
 from repro.sched.multisteal import MultiStealWS
@@ -59,6 +63,7 @@ __all__ = [
     "AdaptiveDistWS",
     "DistWS",
     "DistWSNS",
+    "Knob",
     "LifelineWS",
     "LocalizedWS",
     "MultiStealWS",

@@ -29,7 +29,25 @@ zero annotations.
 from __future__ import annotations
 
 from repro.runtime.task import Task
-from repro.sched.distws import DistWS
+from repro.sched.base import REMOTE_CHUNK_SIZE, Scheduler
+from repro.sched.distws import (
+    SHARED_FIFO,
+    UNDERUTIL_THRESHOLD,
+    VICTIM_ORDER,
+    DistWS,
+)
+from repro.sched.knobs import Knob
+
+MIN_WORK = Knob(
+    "min_work", "float", default=400_000.0, lo=50_000.0, hi=2_000_000.0,
+    log=True, grid=(100_000.0, 400_000.0, 1_600_000.0),
+    doc="minimum declared work (cycles) to classify a task "
+        "flexible (§II condition c)")
+MAX_BYTES_PER_KCYCLE = Knob(
+    "max_bytes_per_kcycle", "float", default=600.0, lo=50.0, hi=5_000.0,
+    log=True, grid=(150.0, 600.0, 2_400.0),
+    doc="transfer-economy bound: footprint bytes per 1000 work "
+        "cycles (§II conditions a/d)")
 
 
 class AdaptiveDistWS(DistWS):
@@ -39,15 +57,12 @@ class AdaptiveDistWS(DistWS):
     #: The classifier deliberately overrides annotations, so the
     #: annotation-based locality guarantee does not apply.
     enforces_locality = False
+    knobs = Scheduler.knobs + (REMOTE_CHUNK_SIZE, VICTIM_ORDER,
+                               UNDERUTIL_THRESHOLD, MIN_WORK,
+                               MAX_BYTES_PER_KCYCLE, SHARED_FIFO)
 
-    def __init__(self, min_work: float = 400_000.0,
-                 max_bytes_per_kcycle: float = 600.0,
-                 remote_chunk_size: int = 2, **knobs) -> None:
-        super().__init__(remote_chunk_size=remote_chunk_size, **knobs)
-        #: Minimum declared work (cycles) to consider a task stealable.
-        self.min_work = min_work
-        #: Transfer-economy bound: footprint bytes per 1000 work cycles.
-        self.max_bytes_per_kcycle = max_bytes_per_kcycle
+    def __init__(self, **knobs) -> None:
+        super().__init__(**knobs)
         #: Classification counters (for the ablation report).
         self.classified_flexible = 0
         self.classified_sensitive = 0

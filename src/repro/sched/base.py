@@ -31,11 +31,12 @@ drift from the per-probe round.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Generator, List, Optional
+from typing import TYPE_CHECKING, Generator, List, Optional, Tuple
 
 from repro.cluster.network import MSG_STEAL_REPLY, MSG_STEAL_REQUEST, MSG_TASK_SHIP
-from repro.errors import SchedulerError
+from repro.errors import ConfigError, SchedulerError
 from repro.runtime.task import Task
+from repro.sched.knobs import Knob
 from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -43,6 +44,24 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.worker import Worker
 
 FindWork = Generator[Event, object, Optional[Task]]
+
+IDLE_THRESHOLD = Knob(
+    "idle_threshold", "int", default=None, lo=1, hi=64, grid=(1, 2, 4, 8),
+    doc="consecutive failed steal rounds before a place turns "
+        "inactive (auto: workers per place, §VI-B)")
+IDLE_BACKOFF_BASE = Knob(
+    "idle_backoff_base", "float", default=None, lo=50.0, hi=50_000.0,
+    log=True, grid=(100.0, 400.0, 1_600.0, 6_400.0),
+    doc="initial idle back-off in cycles (auto: cost model's "
+        "idle_backoff)")
+IDLE_BACKOFF_CAP = Knob(
+    "idle_backoff_cap", "float", default=None, lo=10_000.0,
+    hi=4_000_000.0, log=True, grid=(62_500.0, 500_000.0, 2_000_000.0),
+    doc="cap on the doubling idle back-off (auto: cost model's "
+        "max_idle_backoff)")
+REMOTE_CHUNK_SIZE = Knob(
+    "remote_chunk_size", "int", default=2, lo=1, hi=16, grid=(1, 2, 4, 8),
+    doc="tasks taken per successful distributed steal (§V-B3)")
 
 
 class StealToken:
@@ -70,12 +89,26 @@ class StealToken:
 
 
 class Scheduler(ABC):
-    """Base class for all work-stealing policies."""
+    """Base class for all work-stealing policies.
+
+    Each tunable constant of a policy is one module-level
+    :class:`~repro.sched.knobs.Knob`, listed in the policy's
+    :attr:`knobs`.  :meth:`__init__` is the only constructor logic for
+    them, and :mod:`repro.tune` reads the same lists for its search
+    spaces and ``repro list``.  A value the policy fixes (RandomWS's
+    chunk of 1, LocalizedWS's random fallback order) is a plain class
+    attribute, not a knob.
+    """
 
     #: Human-readable policy name used in reports.
     name: str = "abstract"
-    #: Tasks taken per successful *distributed* steal (§V-B3: chunk of 2).
-    remote_chunk_size: int = 2
+    #: The knobs this policy accepts, in the order ``repro tune`` grids
+    #: and samples them.  Every policy has the idle knobs.
+    knobs: Tuple[Knob, ...] = (IDLE_THRESHOLD, IDLE_BACKOFF_BASE,
+                               IDLE_BACKOFF_CAP)
+    #: Tasks taken per successful *distributed* steal (§V-B3: chunk of 2),
+    #: for a policy without the ``remote_chunk_size`` knob.
+    remote_chunk_size: int = REMOTE_CHUNK_SIZE.default
     #: Whether the policy ever steals across places.
     distributed: bool = True
 
@@ -84,20 +117,25 @@ class Scheduler(ABC):
     #: (with exponential backoff) before the victim is blacklisted.
     steal_max_retries: int = 2
 
-    def __init__(self, remote_chunk_size: Optional[int] = None,
-                 idle_threshold: Optional[int] = None,
-                 idle_backoff_base: Optional[float] = None,
-                 idle_backoff_cap: Optional[float] = None,
-                 controller=None) -> None:
-        if remote_chunk_size is not None:
-            self.remote_chunk_size = int(remote_chunk_size)
-        #: Tunable overrides (``repro.tune`` knobs); ``None`` keeps each
-        #: runtime-derived default — one failed round per worker for the
-        #: idle threshold, the cost model's idle backoff base/cap — so a
-        #: knob-less construction is byte-identical to the paper's rules.
-        self.idle_threshold = idle_threshold
-        self.idle_backoff_base = idle_backoff_base
-        self.idle_backoff_cap = idle_backoff_cap
+    def __init__(self, controller=None, **knobs) -> None:
+        """Set each of :attr:`knobs` from ``knobs`` (validated) or its
+        default, as a plain attribute; any other name is a ConfigError.
+
+        ``None`` keeps the default: for a runtime-derived knob — one
+        failed round per worker for the idle threshold, the cost model's
+        idle backoff base/cap — that makes a knob-less construction
+        byte-identical to the paper's rules.
+        """
+        names = [knob.name for knob in self.knobs]
+        for key in knobs:
+            if key not in names:
+                raise ConfigError(
+                    f"unknown knob {key!r} for scheduler {self.name!r}; "
+                    f"known: {names}")
+        for knob in self.knobs:
+            value = knobs.get(knob.name)
+            setattr(self, knob.name,
+                    knob.default if value is None else knob.validate(value))
         #: Optional online feedback controller
         #: (:mod:`repro.tune.controllers`); ``None`` (the default) means
         #: no hook ever fires.

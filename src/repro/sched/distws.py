@@ -24,44 +24,48 @@ thieves only ever touch shared deques.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List
 
 from repro.runtime.task import Task
-from repro.sched.base import Scheduler
+from repro.sched.base import REMOTE_CHUNK_SIZE, Scheduler
+from repro.sched.knobs import Knob
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.place import Place
     from repro.runtime.worker import Worker
 
 
+#: Victim traversal order for distributed steals: ``"random"`` (the
+#: paper's default — on a fully connected cluster the order "does not
+#: profoundly impact the total cost", §I) or ``"nearest"`` (footnote 2's
+#: recommendation for non-fully connected topologies like rings).
+VICTIM_ORDER = Knob(
+    "victim_order", "categorical", default="random",
+    choices=("random", "nearest"),
+    doc="distributed victim traversal order (§I footnote 2)")
+UNDERUTIL_THRESHOLD = Knob(
+    "underutil_threshold", "int", default=None, lo=1, hi=64,
+    grid=(2, 4, 8, 16),
+    doc="size(p) bound under which flexible tasks stay on "
+        "private deques (auto: cluster max_threads, Alg. 1 l.5)")
+SHARED_FIFO = Knob(
+    "shared_fifo", "bool", default=True,
+    doc="steal the oldest (FIFO) shared-deque task instead of "
+        "the newest (§V-B2 ablation)")
+
+
 class DistWS(Scheduler):
     """Selective locality-aware distributed work stealing (Algorithm 1)."""
 
     name = "DistWS"
-    remote_chunk_size = 2
     distributed = True
-
-    def __init__(self, remote_chunk_size: int = 2,
-                 shared_fifo: bool = True,
-                 victim_order: str = "random",
-                 underutil_threshold: Optional[int] = None,
-                 **knobs) -> None:
-        super().__init__(remote_chunk_size=remote_chunk_size, **knobs)
-        #: Ablation knob: ``False`` makes steals take the *newest* shared
-        #: task instead of the oldest (benchmarks/test_ablation_deques).
-        self.shared_fifo = shared_fifo
-        #: Victim traversal order for distributed steals: ``"random"``
-        #: (the paper's default — on a fully connected cluster the order
-        #: "does not profoundly impact the total cost", §I) or
-        #: ``"nearest"`` (footnote 2's recommendation for non-fully
-        #: connected topologies like rings).
-        if victim_order not in ("random", "nearest"):
-            raise ValueError(f"unknown victim_order {victim_order!r}")
-        self.victim_order = victim_order
-        #: Shared-deque admission knob: a flexible task stays on a
-        #: private deque while ``size(p)`` is below this; ``None`` keeps
-        #: the paper's rule (``size(p) < max_threads``).
-        self.underutil_threshold = underutil_threshold
+    knobs = Scheduler.knobs + (REMOTE_CHUNK_SIZE, VICTIM_ORDER,
+                               UNDERUTIL_THRESHOLD, SHARED_FIFO)
+    #: What a subclass that does not declare these knobs runs with:
+    #: steals take the oldest shared task and admission follows the
+    #: paper's rule (``size(p) < max_threads``).
+    shared_fifo = SHARED_FIFO.default
+    underutil_threshold = UNDERUTIL_THRESHOLD.default
 
     def _keep_local(self, place: "Place") -> bool:
         """Algorithm 1's keep-it-local predicate, with a tunable bound."""

@@ -17,15 +17,15 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.runtime.task import Task
-from repro.sched.base import Scheduler
+from repro.sched.base import REMOTE_CHUNK_SIZE, Scheduler
 
 
 class DistWSNS(Scheduler):
     """Non-selective variant: any task may be stolen across places."""
 
     name = "DistWS-NS"
-    remote_chunk_size = 2
     distributed = True
+    knobs = Scheduler.knobs + (REMOTE_CHUNK_SIZE,)
     #: By design: any task — sensitive included — may travel.
     enforces_locality = False
 

@@ -21,35 +21,36 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.sched.distws import DistWS
+from repro.sched.base import REMOTE_CHUNK_SIZE, Scheduler
+from repro.sched.distws import UNDERUTIL_THRESHOLD, DistWS
+from repro.sched.knobs import Knob
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.task import Task
     from repro.runtime.worker import Worker
 
 
+STEAL_RADIUS = Knob(
+    "steal_radius", "int", default=2, lo=1, hi=32, grid=(1, 2, 4),
+    doc="maximum hop distance of a regular-round steal victim "
+        "(Suksompong-style localized stealing)")
+RADIUS_STRIKES = Knob(
+    "radius_strikes", "int", default=3, lo=1, hi=16, grid=(1, 3, 5),
+    doc="consecutive failed local rounds before one "
+        "unrestricted global round")
+
+
 class LocalizedWS(DistWS):
     """DistWS variant with a bounded steal radius over cluster distances."""
 
     name = "LocalizedWS"
+    knobs = Scheduler.knobs + (REMOTE_CHUNK_SIZE, UNDERUTIL_THRESHOLD,
+                               STEAL_RADIUS, RADIUS_STRIKES)
+    #: Fixed by the policy: the fallback round's victims are random.
+    victim_order = "random"
 
-    def __init__(self, steal_radius: int = 2, radius_strikes: int = 3,
-                 remote_chunk_size: int = 2,
-                 underutil_threshold: Optional[int] = None,
-                 **knobs) -> None:
-        super().__init__(remote_chunk_size=remote_chunk_size,
-                         victim_order="random",
-                         underutil_threshold=underutil_threshold, **knobs)
-        if int(steal_radius) < 1:
-            raise ValueError(
-                f"steal_radius must be >= 1, got {steal_radius!r}")
-        if int(radius_strikes) < 1:
-            raise ValueError(
-                f"radius_strikes must be >= 1, got {radius_strikes!r}")
-        #: Maximum hop distance of a regular-round victim.
-        self.steal_radius = int(steal_radius)
-        #: Consecutive failed local rounds before one global round.
-        self.radius_strikes = int(radius_strikes)
+    def __init__(self, **knobs) -> None:
+        super().__init__(**knobs)
         #: worker wid -> consecutive failed local rounds.
         self._strikes: Dict[Tuple[int, int], int] = {}
         #: worker wid -> dedicated victim-shuffle RNG.

@@ -25,27 +25,28 @@ from typing import TYPE_CHECKING, List
 from repro.errors import SchedulerError
 from repro.sched.base import FindWork, StealToken
 from repro.sched.distws import DistWS
+from repro.sched.knobs import Knob
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.worker import Worker
+
+
+STEAL_WIDTH = Knob(
+    "steal_width", "int", default=2, lo=1, hi=8, grid=(2, 3, 4),
+    doc="steal requests simultaneously in flight per thief "
+        "(first success wins, losers cancelled)")
 
 
 class MultiStealWS(DistWS):
     """DistWS variant with ``steal_width`` concurrent steal requests."""
 
     name = "MultiStealWS"
+    knobs = DistWS.knobs + (STEAL_WIDTH,)
     # Collapsed-round note: with no victim advertising surplus, the
     # batch-build loop skips every place without yielding or drawing
     # (the per-batch mailbox re-probe has no miss counters), so an
     # all-skip round is observably identical to DistWS's, whose victim
     # order this policy inherits.
-
-    def __init__(self, steal_width: int = 2, **knobs) -> None:
-        super().__init__(**knobs)
-        if int(steal_width) < 1:
-            raise ValueError(f"steal_width must be >= 1, got {steal_width!r}")
-        #: Maximum steal requests simultaneously in flight per thief.
-        self.steal_width = int(steal_width)
 
     def _make_token(self) -> StealToken:
         """Seam for tests: one token per concurrent request round."""

@@ -15,16 +15,27 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List
 
+from repro.sched.base import Scheduler
 from repro.sched.distws import DistWS
+from repro.sched.knobs import Knob
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.worker import Worker
+
+
+#: The default of 2 follows the lifeline papers (w=2).
+ATTEMPTS_PER_ROUND = Knob(
+    "attempts_per_round", "int", default=2, lo=1, hi=8, grid=(1, 2, 4),
+    doc="independent random victims probed per failed round "
+        "(Lifeline then quiesces on its lifelines)")
 
 
 class RandomWS(DistWS):
     """DistWS mapping + unorganized random single-task remote steals."""
 
     name = "RandomWS"
+    knobs = Scheduler.knobs + (ATTEMPTS_PER_ROUND,)
+    #: Fixed by the policy: unorganized steals take one task.
     remote_chunk_size = 1
     distributed = True
     #: Blind random victim selection — the point of the §X comparison.
@@ -34,11 +45,6 @@ class RandomWS(DistWS):
     uses_status_board = False
     #: Named RNG stream the victims are drawn from, per worker.
     victim_stream = "random-victims"
-
-    def __init__(self, attempts_per_round: int = 2, **knobs) -> None:
-        super().__init__(remote_chunk_size=1, **knobs)
-        #: Random victims tried per failed round (lifeline papers use w=2).
-        self.attempts_per_round = attempts_per_round
 
     def _remote_order(self, worker: "Worker", t: float) -> List[int]:
         rng = self.rt.rngs.stream(self.victim_stream, *worker.wid)

@@ -17,26 +17,25 @@ the (locked) take point differs, via :meth:`Scheduler._chunk_request`.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.sched.distws import DistWS
+from repro.sched.base import Scheduler
+from repro.sched.distws import (
+    SHARED_FIFO,
+    UNDERUTIL_THRESHOLD,
+    VICTIM_ORDER,
+    DistWS,
+)
 
 
 class StealHalfWS(DistWS):
     """DistWS variant whose distributed steals take half the victim deque."""
 
     name = "StealHalfWS"
+    #: No ``remote_chunk_size``: the chunk is sized from the victim deque.
+    knobs = Scheduler.knobs + (VICTIM_ORDER, UNDERUTIL_THRESHOLD,
+                               SHARED_FIFO)
     # Collapsed-round note: the chunk-size decision only exists at a
     # successful take point, which a collapsed (provably-failed) round
     # never reaches — DistWS's fast-path hooks are inherited unchanged.
-
-    def __init__(self, shared_fifo: bool = True,
-                 victim_order: str = "random",
-                 underutil_threshold: Optional[int] = None,
-                 **knobs) -> None:
-        super().__init__(remote_chunk_size=2, shared_fifo=shared_fifo,
-                         victim_order=victim_order,
-                         underutil_threshold=underutil_threshold, **knobs)
 
     def _chunk_request(self, shared) -> int:
         # ceil(n/2) of the instantaneous deque length, measured under the

@@ -178,44 +178,6 @@ def render(report: dict) -> str:
         rows, title="serve benchmark")
 
 
-def compare(baseline: dict, candidate: dict,
-            max_regression_pct: float = 50.0) -> Tuple[bool, List[str]]:
-    """Gate a candidate serve report against a committed baseline.
-
-    Latency here is real wall time dominated by configured service
-    sleeps, so cross-machine comparison is meaningful but noisy — the
-    default threshold is deliberately loose.  Conservation (no request
-    unaccounted for) is checked strictly.
-    """
-    lines: List[str] = []
-    ok = True
-    base_cells = {c["cell"]: c for c in baseline.get("cells", [])}
-    for cell in candidate.get("cells", []):
-        req = cell["requests"]
-        accounted = req["ok"] + req["shed"] + req["failed"]
-        if accounted != req["offered"]:
-            ok = False
-            lines.append(f"  {cell['cell']}: {req['offered']} offered but "
-                         f"only {accounted} accounted for")
-            continue
-        base = base_cells.get(cell["cell"])
-        if base is None:
-            lines.append(f"  {cell['cell']}: not in baseline (skipped)")
-            continue
-        b99 = float(base["latency_ms"][ALL]["p99"])
-        c99 = float(cell["latency_ms"][ALL]["p99"])
-        pct = 100.0 * (c99 - b99) / b99 if b99 else 0.0
-        lines.append(f"  {cell['cell']}: p99 {b99:.1f}ms -> {c99:.1f}ms "
-                     f"({pct:+.1f}%)")
-        if b99 and pct > max_regression_pct:
-            ok = False
-            lines.append(f"  {cell['cell']}: FAIL p99 regression over "
-                         f"+{max_regression_pct:g}%")
-    if not lines:
-        lines.append("no comparable cells")
-    return ok, lines
-
-
 def to_json(report: dict) -> str:
     """Canonical serialization (sorted keys, 1-space indent)."""
     return json.dumps(report, sort_keys=True, indent=1) + "\n"

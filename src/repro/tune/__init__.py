@@ -2,11 +2,13 @@
 
 The paper fixes its scheduler parameters by fiat (remote steals take a
 chunk of 2, a place goes idle after one failed round per worker, ...).
-``repro.tune`` turns each of those constants into a declared, searchable
-knob:
+``repro.tune`` searches over those constants.  Each scheduler declares
+them once, as the :class:`Knob` tuple in its ``knobs`` class attribute
+(:mod:`repro.sched.knobs`; re-exported here):
 
-- :mod:`repro.tune.space` — typed per-scheduler knob declarations
-  (:class:`ParamSpace`), validation, and CLI ``key=value`` parsing;
+- :mod:`repro.tune.space` — per-scheduler knob tables derived from the
+  scheduler registry, search spaces (:class:`ParamSpace`), and CLI
+  ``key=value`` parsing;
 - :mod:`repro.tune.search` — grid / seeded-random / successive-halving
   engines that fan trials through the parallel harness and result
   cache, producing ranked reports with regret-vs-default and per-knob

@@ -1,27 +1,28 @@
-"""Typed parameter spaces: the tunable knobs of every scheduler.
+"""Typed parameter spaces over the tunable knobs of every scheduler.
 
 The paper fixes its scheduler parameters by fiat — distributed steals
 take a chunk of 2 (§V-B3), a place turns inactive after ``n`` failed
 steal attempts (§VI-B), victims are probed in a fixed order — but both
 Gast/Khatiri/Trystram (latency-aware work stealing) and
 John/Milthorpe/Strazdins (distributed dataflow stealing) show these
-knobs dominate performance once steal latency is non-trivial.  This
-module makes them first-class:
+knobs dominate performance once steal latency is non-trivial.  Each
+scheduler declares its knobs once, as the :class:`Knob` tuple in its
+``knobs`` class attribute (:mod:`repro.sched.knobs`); this module only
+reads those declarations:
 
-- :class:`Knob` — one tunable parameter: type, range (or choices), the
-  paper's default, and grid points for exhaustive search;
-- :data:`SCHEDULER_KNOBS` — the knob table per registered scheduler;
+- :data:`SCHEDULER_KNOBS` — the knob table per registered scheduler,
+  derived from :data:`repro.sched.SCHEDULERS`;
 - :class:`ParamSpace` — a validated subset of one scheduler's knobs that
-  can sample random configurations, enumerate a grid, and parse
-  ``key=value`` strings from the CLI (``--sched-arg``).
+  can sample random configurations and enumerate a grid;
+- :func:`parse_sched_args` / :func:`parse_sched_args_any` — ``key=value``
+  strings from the CLI (``--sched-arg``), for one scheduler or any;
+  :func:`accepted_kwargs` slices a union-parsed set per scheduler.
 
 A *configuration* is a plain ``{knob: value}`` dict, directly usable as
 ``sched_kwargs`` in :class:`~repro.harness.parallel.RunSpec` — which is
 what makes tuning trials content-addressable and cache-replayable.
-
-A knob whose default is ``None`` is *runtime-derived* (e.g. the idle
-threshold defaults to the place's worker count); omitting it from a
-configuration keeps the paper's behaviour byte-identical.
+Omitting a knob from a configuration keeps its default, so the empty
+configuration is the paper's behaviour, byte for byte.
 """
 
 from __future__ import annotations
@@ -32,241 +33,12 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
+from repro.sched import SCHEDULERS
+from repro.sched.knobs import Knob
 
-#: Knob value types.
-KNOB_KINDS = ("int", "float", "categorical", "bool")
-
-
-@dataclass(frozen=True)
-class Knob:
-    """One tunable scheduler parameter."""
-
-    name: str
-    kind: str
-    #: The paper's default; ``None`` means runtime-derived (see module doc).
-    default: object = None
-    #: Inclusive numeric range (int/float knobs).
-    lo: Optional[float] = None
-    hi: Optional[float] = None
-    #: Admissible values (categorical knobs).
-    choices: Tuple[object, ...] = ()
-    #: Representative values for grid search (deterministic order).
-    grid: Tuple[object, ...] = ()
-    #: Sample numeric values on a log scale (spans >= one decade).
-    log: bool = False
-    doc: str = ""
-
-    def __post_init__(self) -> None:
-        if self.kind not in KNOB_KINDS:
-            raise ConfigError(f"unknown knob kind {self.kind!r}; "
-                              f"expected one of {KNOB_KINDS}")
-        if self.kind in ("int", "float") and (self.lo is None
-                                              or self.hi is None):
-            raise ConfigError(f"numeric knob {self.name!r} needs lo/hi")
-        if self.kind == "categorical" and not self.choices:
-            raise ConfigError(f"categorical knob {self.name!r} needs choices")
-
-    # -- validation --------------------------------------------------------
-    def validate(self, value: object) -> object:
-        """Check ``value`` is admissible; returns it (normalised)."""
-        if self.kind == "int":
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(
-                    f"knob {self.name!r} expects an int, got {value!r}")
-            if not (self.lo <= value <= self.hi):
-                raise ConfigError(
-                    f"knob {self.name!r}={value} out of range "
-                    f"[{self.lo:g}, {self.hi:g}]")
-            return value
-        if self.kind == "float":
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(
-                    f"knob {self.name!r} expects a number, got {value!r}")
-            value = float(value)
-            if not (self.lo <= value <= self.hi):
-                raise ConfigError(
-                    f"knob {self.name!r}={value:g} out of range "
-                    f"[{self.lo:g}, {self.hi:g}]")
-            return value
-        if self.kind == "bool":
-            if not isinstance(value, bool):
-                raise ConfigError(
-                    f"knob {self.name!r} expects a bool, got {value!r}")
-            return value
-        if value not in self.choices:
-            raise ConfigError(
-                f"knob {self.name!r}={value!r} not one of {self.choices}")
-        return value
-
-    def parse(self, text: str) -> object:
-        """Parse a CLI string into a validated value."""
-        try:
-            if self.kind == "int":
-                value: object = int(text)
-            elif self.kind == "float":
-                value = float(text)
-            elif self.kind == "bool":
-                lowered = text.strip().lower()
-                if lowered in ("1", "true", "yes", "on"):
-                    value = True
-                elif lowered in ("0", "false", "no", "off"):
-                    value = False
-                else:
-                    raise ValueError(text)
-            else:
-                value = text
-        except ValueError:
-            raise ConfigError(
-                f"cannot parse {text!r} as {self.kind} for knob "
-                f"{self.name!r}") from None
-        return self.validate(value)
-
-    # -- search support ----------------------------------------------------
-    def sample(self, rng: random.Random) -> object:
-        """Draw one admissible value (deterministic given ``rng``)."""
-        if self.kind == "int":
-            if self.log:
-                import math
-                lo, hi = math.log(self.lo), math.log(self.hi)
-                return max(int(self.lo), min(int(self.hi), int(round(
-                    math.exp(rng.uniform(lo, hi))))))
-            return rng.randint(int(self.lo), int(self.hi))
-        if self.kind == "float":
-            if self.log:
-                import math
-                return math.exp(rng.uniform(math.log(self.lo),
-                                            math.log(self.hi)))
-            return rng.uniform(self.lo, self.hi)
-        if self.kind == "bool":
-            return bool(rng.getrandbits(1))
-        return self.choices[rng.randrange(len(self.choices))]
-
-    def grid_points(self) -> Tuple[object, ...]:
-        """Values grid search enumerates for this knob."""
-        if self.grid:
-            return self.grid
-        if self.kind == "categorical":
-            return self.choices
-        if self.kind == "bool":
-            return (True, False)
-        return (self.default,) if self.default is not None else ()
-
-    def default_label(self) -> str:
-        """Human-readable default for the ``repro list`` knob table."""
-        if self.default is None:
-            return "auto"
-        if isinstance(self.default, float):
-            return f"{self.default:g}"
-        return str(self.default)
-
-
-def _base_knobs() -> Tuple[Knob, ...]:
-    """Knobs every scheduler inherits from :class:`~repro.sched.base.Scheduler`."""
-    return (
-        Knob("idle_threshold", "int", default=None, lo=1, hi=64,
-             grid=(1, 2, 4, 8),
-             doc="consecutive failed steal rounds before a place turns "
-                 "inactive (auto: workers per place, §VI-B)"),
-        Knob("idle_backoff_base", "float", default=None, lo=50.0,
-             hi=50_000.0, log=True, grid=(100.0, 400.0, 1_600.0, 6_400.0),
-             doc="initial idle back-off in cycles (auto: cost model's "
-                 "idle_backoff)"),
-        Knob("idle_backoff_cap", "float", default=None, lo=10_000.0,
-             hi=4_000_000.0, log=True,
-             grid=(62_500.0, 500_000.0, 2_000_000.0),
-             doc="cap on the doubling idle back-off (auto: cost model's "
-                 "max_idle_backoff)"),
-    )
-
-
-def _distws_knobs() -> Tuple[Knob, ...]:
-    return _base_knobs() + (
-        Knob("remote_chunk_size", "int", default=2, lo=1, hi=16,
-             grid=(1, 2, 4, 8),
-             doc="tasks taken per successful distributed steal (§V-B3)"),
-        Knob("victim_order", "categorical", default="random",
-             choices=("random", "nearest"),
-             doc="distributed victim traversal order (§I footnote 2)"),
-        Knob("underutil_threshold", "int", default=None, lo=1, hi=64,
-             grid=(2, 4, 8, 16),
-             doc="size(p) bound under which flexible tasks stay on "
-                 "private deques (auto: cluster max_threads, Alg. 1 l.5)"),
-    )
-
-
-#: scheduler registry name -> its tunable knobs (deterministic order).
+#: scheduler registry name -> its knobs, in the scheduler's own order.
 SCHEDULER_KNOBS: Dict[str, Tuple[Knob, ...]] = {
-    "X10WS": _base_knobs(),
-    "DistWS": _distws_knobs() + (
-        Knob("shared_fifo", "bool", default=True,
-             doc="steal the oldest (FIFO) shared-deque task instead of "
-                 "the newest (§V-B2 ablation)"),
-    ),
-    "DistWS-NS": _base_knobs() + (
-        Knob("remote_chunk_size", "int", default=2, lo=1, hi=16,
-             grid=(1, 2, 4, 8),
-             doc="tasks taken per successful distributed steal"),
-    ),
-    "RandomWS": _base_knobs() + (
-        Knob("attempts_per_round", "int", default=2, lo=1, hi=8,
-             grid=(1, 2, 4),
-             doc="independent random victims probed per failed round"),
-    ),
-    "Lifeline": _base_knobs() + (
-        Knob("attempts_per_round", "int", default=2, lo=1, hi=8,
-             grid=(1, 2, 4),
-             doc="random steal attempts before quiescing on lifelines"),
-    ),
-    "StealHalfWS": _base_knobs() + (
-        Knob("victim_order", "categorical", default="random",
-             choices=("random", "nearest"),
-             doc="distributed victim traversal order (§I footnote 2)"),
-        Knob("underutil_threshold", "int", default=None, lo=1, hi=64,
-             grid=(2, 4, 8, 16),
-             doc="size(p) bound under which flexible tasks stay on "
-                 "private deques (auto: cluster max_threads, Alg. 1 l.5)"),
-        Knob("shared_fifo", "bool", default=True,
-             doc="steal the oldest (FIFO) shared-deque tasks instead of "
-                 "the newest (§V-B2 ablation)"),
-    ),
-    "MultiStealWS": _distws_knobs() + (
-        Knob("shared_fifo", "bool", default=True,
-             doc="steal the oldest (FIFO) shared-deque task instead of "
-                 "the newest (§V-B2 ablation)"),
-        Knob("steal_width", "int", default=2, lo=1, hi=8,
-             grid=(2, 3, 4),
-             doc="steal requests simultaneously in flight per thief "
-                 "(first success wins, losers cancelled)"),
-    ),
-    "LocalizedWS": _base_knobs() + (
-        Knob("remote_chunk_size", "int", default=2, lo=1, hi=16,
-             grid=(1, 2, 4, 8),
-             doc="tasks taken per successful distributed steal (§V-B3)"),
-        Knob("underutil_threshold", "int", default=None, lo=1, hi=64,
-             grid=(2, 4, 8, 16),
-             doc="size(p) bound under which flexible tasks stay on "
-                 "private deques (auto: cluster max_threads, Alg. 1 l.5)"),
-        Knob("steal_radius", "int", default=2, lo=1, hi=32,
-             grid=(1, 2, 4),
-             doc="maximum hop distance of a regular-round steal victim "
-                 "(Suksompong-style localized stealing)"),
-        Knob("radius_strikes", "int", default=3, lo=1, hi=16,
-             grid=(1, 3, 5),
-             doc="consecutive failed local rounds before one "
-                 "unrestricted global round"),
-    ),
-    "AdaptiveDistWS": _distws_knobs() + (
-        Knob("min_work", "float", default=400_000.0, lo=50_000.0,
-             hi=2_000_000.0, log=True,
-             grid=(100_000.0, 400_000.0, 1_600_000.0),
-             doc="minimum declared work (cycles) to classify a task "
-                 "flexible (§II condition c)"),
-        Knob("max_bytes_per_kcycle", "float", default=600.0, lo=50.0,
-             hi=5_000.0, log=True, grid=(150.0, 600.0, 2_400.0),
-             doc="transfer-economy bound: footprint bytes per 1000 "
-                 "work cycles (§II conditions a/d)"),
-    ),
-}
+    name: cls.knobs for name, cls in SCHEDULERS.items()}
 
 
 def knob_table(scheduler: str) -> Tuple[Knob, ...]:
@@ -356,52 +128,46 @@ class ParamSpace:
                     *(points for _, points in active)))
 
 
-def parse_sched_args(scheduler: str,
-                     pairs: Optional[Sequence[str]]) -> Optional[dict]:
-    """Parse repeatable ``--sched-arg key=value`` strings for one scheduler.
-
-    Raises :class:`ConfigError` (never a traceback-worthy ValueError) on
-    a missing ``=``, an unknown knob, or an unparseable value.
-    """
-    if not pairs:
-        return None
-    space = ParamSpace.for_scheduler(scheduler)
+def _parse_pairs(pairs: Sequence[str], knobs: Dict[str, Knob],
+                 owner: str) -> dict:
+    """Parse ``key=value`` strings against ``knobs`` (ConfigError, never
+    a traceback-worthy ValueError, on a missing ``=``, an unknown knob,
+    or an unparseable value)."""
     config: Dict[str, object] = {}
     for pair in pairs:
         key, sep, text = pair.partition("=")
         if not sep or not key:
             raise ConfigError(
                 f"bad --sched-arg {pair!r} (expected key=value)")
-        config[key] = space.knob(key).parse(text)
+        if key not in knobs:
+            raise ConfigError(
+                f"unknown knob {key!r}{owner}; known: {list(knobs)}")
+        config[key] = knobs[key].parse(text)
     return config
+
+
+def parse_sched_args(scheduler: str,
+                     pairs: Optional[Sequence[str]]) -> Optional[dict]:
+    """Parse repeatable ``--sched-arg key=value`` strings for one
+    scheduler."""
+    if not pairs:
+        return None
+    return _parse_pairs(pairs, {k.name: k for k in knob_table(scheduler)},
+                        f" for scheduler {scheduler!r}")
 
 
 def union_knob_names() -> Dict[str, Knob]:
-    """Every knob across all schedulers (first definition wins)."""
-    union: Dict[str, Knob] = {}
-    for table in SCHEDULER_KNOBS.values():
-        for k in table:
-            union.setdefault(k.name, k)
-    return union
+    """Every knob any registered scheduler accepts, by name."""
+    return {k.name: k for table in SCHEDULER_KNOBS.values() for k in table}
 
 
 def parse_sched_args_any(pairs: Optional[Sequence[str]]) -> Optional[dict]:
-    """Parse ``--sched-arg`` pairs against the union of all knob tables.
+    """Parse ``--sched-arg`` pairs against every scheduler's knobs.
 
-    Used by multi-scheduler entry points (``repro reproduce``); each
-    scheduler later receives its :func:`accepted_kwargs` slice.
+    Used by multi-scheduler entry points (``repro reproduce``, ``repro
+    enqueue``); each scheduler later receives its :func:`accepted_kwargs`
+    slice.
     """
     if not pairs:
         return None
-    union = union_knob_names()
-    config: Dict[str, object] = {}
-    for pair in pairs:
-        key, sep, text = pair.partition("=")
-        if not sep or not key:
-            raise ConfigError(
-                f"bad --sched-arg {pair!r} (expected key=value)")
-        if key not in union:
-            raise ConfigError(
-                f"unknown knob {key!r}; known: {sorted(union)}")
-        config[key] = union[key].parse(text)
-    return config
+    return _parse_pairs(pairs, union_knob_names(), "")

@@ -6,6 +6,7 @@ import pytest
 
 from repro.apgas import Apgas
 from repro.cluster.topology import ClusterSpec
+from repro.errors import ConfigError
 from repro.runtime.runtime import SimRuntime
 from repro.runtime.task import FLEXIBLE, SENSITIVE, Task
 from repro.sched import DistWS
@@ -122,7 +123,7 @@ class TestChunking:
 
 class TestVictimOrder:
     def test_invalid_order_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="not one of"):
             DistWS(victim_order="alphabetical")
 
     def test_nearest_order_on_ring(self):

@@ -10,7 +10,6 @@ import pytest
 from repro.serve.recorder import (
     LatencyRecorder,
     build_report,
-    compare,
     exact_percentile,
     render,
     report_svg,
@@ -116,31 +115,3 @@ class TestReport:
         dom = xml.dom.minidom.parseString(svg)
         assert dom.documentElement.tagName == "svg"
         assert "selective" in svg and "round-robin" in svg
-
-
-class TestCompare:
-    def test_identical_reports_pass(self):
-        report = build_report([make_cell()])
-        ok, lines = compare(report, report)
-        assert ok and any("p99" in ln for ln in lines)
-
-    def test_conservation_violation_fails(self):
-        base = build_report([make_cell()])
-        cand = json.loads(to_json(base))
-        cand["cells"][0]["requests"]["ok"] -= 1  # one request vanished
-        ok, lines = compare(base, cand)
-        assert not ok
-        assert any("accounted" in ln for ln in lines)
-
-    def test_large_p99_regression_fails(self):
-        base = build_report([make_cell()])
-        cand = json.loads(to_json(base))
-        cand["cells"][0]["latency_ms"]["all"]["p99"] *= 10
-        ok, _ = compare(base, cand, max_regression_pct=50.0)
-        assert not ok
-
-    def test_unmatched_cell_skipped(self):
-        base = build_report([make_cell("x")])
-        cand = build_report([make_cell("y")])
-        ok, lines = compare(base, cand)
-        assert ok and any("not in baseline" in ln for ln in lines)

@@ -404,6 +404,7 @@ class TestTuneCli:
         ("StealHalfWS", "victim_order=nearest"),
         ("MultiStealWS", "steal_width=3"),
         ("LocalizedWS", "steal_radius=1"),
+        ("AdaptiveDistWS", "shared_fifo=false"),
     ])
     def test_run_accepts_each_new_variant(self, capsys, sched, knob):
         code = main(["run", "--app", "uts", "--scale", "test",
@@ -549,6 +550,32 @@ class TestStoreCli:
         assert len(rows) == 2
         assert all(r["status"] == "done" for r in rows)
         assert all(r["payload"]["scheduler"] == "DistWS" for r in rows)
+
+    def test_grid_knob_reaches_only_the_schedulers_that_have_it(
+            self, capsys, tmp_path):
+        """One --sched-arg over a grid: X10WS has no remote_chunk_size,
+        so its cell is the knob-less cell; RandomWS fixes its chunk at 1,
+        so its cell is too; neither is quarantined."""
+        from repro.cluster.topology import ClusterSpec
+        from repro.harness.db import ExperimentStore
+        from repro.harness.parallel import RunSpec
+
+        store_path = str(tmp_path / "grid.sqlite")
+        assert main(["enqueue", "--store", store_path, "--app", "uts",
+                     "--scheduler", "RandomWS", "--scheduler", "X10WS",
+                     "--sched-arg", "remote_chunk_size=4",
+                     "--places", "2", "--workers", "2", "--seeds", "1",
+                     "--scale", "test"]) == 0
+        assert main(["workers", "--store", store_path,
+                     "--heartbeat", "0.2", "--max-attempts", "1"]) == 0
+        assert "quarantined" not in capsys.readouterr().out
+        spec = ClusterSpec(n_places=2, workers_per_place=2, max_threads=6)
+        with ExperimentStore(store_path) as store:
+            rows = {r.payload["scheduler"]: r for r in store.rows()}
+        assert {r.status for r in rows.values()} == {"done"}
+        for sched in ("RandomWS", "X10WS"):
+            bare = RunSpec.build("uts", sched, spec, scale="test")
+            assert rows[sched].key == bare.cache_key()
 
     def test_workers_reports_quarantined_cells(self, capsys, tmp_path):
         from repro.harness.db import ExperimentStore

@@ -16,6 +16,7 @@ from repro.tune import (
     knob_table,
     parse_sched_args,
     parse_sched_args_any,
+    union_knob_names,
 )
 
 
@@ -92,6 +93,52 @@ class TestScheduleKnobTables:
                     continue
                 assert getattr(instance, k.name) == k.default, \
                     f"{sched}.{k.name}"
+
+    def test_every_other_knob_is_rejected_at_construction(self):
+        """The other direction: a knob outside a scheduler's table is a
+        ConfigError naming the scheduler, never a silent no-op or a
+        TypeError from a constructor signature."""
+        union = union_knob_names()
+        for sched, knobs in SCHEDULER_KNOBS.items():
+            own = {k.name for k in knobs}
+            for name, knob in union.items():
+                if name in own:
+                    continue
+                value = knob.grid_points()[0]
+                with pytest.raises(ConfigError, match=repr(sched)):
+                    make_scheduler(sched, **{name: value})
+
+    def test_each_knob_is_declared_once(self):
+        """Every table that lists a knob holds the same Knob object."""
+        by_name = {}
+        for knobs in SCHEDULER_KNOBS.values():
+            for k in knobs:
+                assert by_name.setdefault(k.name, k) is k, k.name
+
+    def test_table_order_is_search_order(self):
+        """Grid and random search walk knobs in table order."""
+        idle = ["idle_threshold", "idle_backoff_base", "idle_backoff_cap"]
+        assert {s: [k.name for k in knob_table(s)][3:]
+                for s in SCHEDULERS} == {
+            "X10WS": [],
+            "DistWS": ["remote_chunk_size", "victim_order",
+                       "underutil_threshold", "shared_fifo"],
+            "DistWS-NS": ["remote_chunk_size"],
+            "RandomWS": ["attempts_per_round"],
+            "Lifeline": ["attempts_per_round"],
+            "AdaptiveDistWS": ["remote_chunk_size", "victim_order",
+                               "underutil_threshold", "min_work",
+                               "max_bytes_per_kcycle", "shared_fifo"],
+            "StealHalfWS": ["victim_order", "underutil_threshold",
+                            "shared_fifo"],
+            "MultiStealWS": ["remote_chunk_size", "victim_order",
+                             "underutil_threshold", "shared_fifo",
+                             "steal_width"],
+            "LocalizedWS": ["remote_chunk_size", "underutil_threshold",
+                            "steal_radius", "radius_strikes"],
+        }
+        for sched in SCHEDULERS:
+            assert [k.name for k in knob_table(sched)][:3] == idle
 
     def test_unknown_scheduler_rejected(self):
         with pytest.raises(ConfigError, match="no knob table"):

@@ -9,7 +9,7 @@ determinism contract of ``repro.harness.parallel`` end to end:
    drained through a private, telemetry-off experiment store by
    ``--parallel`` processes; the ``RunStats.snapshot()`` JSON must be
    *byte-identical* to serial, and the wall-clock speedup must reach
-   ``--min-speedup``;
+   ``--min-speedup`` (default: half of ``--parallel``);
 3. **stored** — the grid twice through one experiment store file; the
    warm pass must run **zero** simulations and reproduce the same bytes.
 
@@ -77,10 +77,13 @@ def main(argv=None) -> int:
     parser.add_argument("--workers", type=int, default=4)
     parser.add_argument("--parallel", type=int, default=4,
                         help="processes for the sharded pass")
-    parser.add_argument("--min-speedup", type=float, default=2.0,
+    parser.add_argument("--min-speedup", type=float, default=None,
                         help="required serial/parallel wall-clock ratio "
-                             "(0 disables the check)")
+                             "(default: parallel / 2; 0 disables the "
+                             "check)")
     args = parser.parse_args(argv)
+    if args.min_speedup is None:
+        args.min_speedup = args.parallel / 2
 
     requests = build_grid(args)
     n_runs = sum(len(r.sched_seeds) for r in requests)
