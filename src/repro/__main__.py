@@ -564,7 +564,7 @@ def _cmd_report(args) -> int:
     from repro.harness.db import ExperimentStore
 
     with ExperimentStore(args.store) as store:
-        written = write_report(store, args.out, bench_path=args.bench,
+        written = write_report(store, args.out,
                                title=f"sweep report — {args.store}")
     for path in written:
         print(f"[written {path}]")
@@ -946,10 +946,6 @@ def main(argv=None) -> int:
     repo.add_argument("store", help="SQLite store file to report on")
     repo.add_argument("--out", default="sweep_report", metavar="DIR",
                       help="output directory (default sweep_report/)")
-    repo.add_argument("--bench", default="BENCH_kernel.json",
-                      metavar="PATH",
-                      help="kernel bench baseline for the perf-"
-                           "trajectory section (skipped if missing)")
 
     tunep = sub.add_parser("tune",
                            help="search scheduler knobs (offline tuning)")

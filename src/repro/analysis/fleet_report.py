@@ -10,9 +10,8 @@ is offline) from the store's telemetry:
   aggregate of Gast et al., arXiv:1805.00857) as a bucket chart plus a
   percentile table;
 - worker summary: per-owner cells, failures, reclaims, throughput;
-- perf trajectory: the sweep's per-cell simulation rates joined against
-  the committed ``BENCH_kernel.json`` kernel baseline, so a sweep
-  report shows where the harness sits relative to the benched kernel.
+- perf trajectory: the sweep's cells, mean cell wall time and
+  cells/sec per (app, scheduler) pair, from telemetry.
 
 Everything here is read-only over :class:`ExperimentStore` views and
 plain dicts, so it is unit-testable without a live fleet.
@@ -21,7 +20,6 @@ plain dicts, so it is unit-testable without a live fleet.
 from __future__ import annotations
 
 import html
-import json
 import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -107,14 +105,9 @@ def _bucket_chart(rollup, name: str) -> Optional[str]:
                              y_label="samples")
 
 
-def perf_trajectory_rows(tel_rows, store_rows,
-                         bench: Optional[Dict]) -> List[List[object]]:
-    """Join sweep throughput with the ``BENCH_kernel.json`` baseline.
-
-    One row per (app, scheduler) pair seen in the sweep: mean cell wall
-    time and simulation rate from telemetry, next to the benched
-    kernel's events/sec for the same pair (``-`` when the baseline has
-    no matching cell).
+def perf_trajectory_rows(tel_rows, store_rows) -> List[List[object]]:
+    """Sweep throughput per (app, scheduler) pair seen in the sweep:
+    cell count, mean cell wall time and simulation rate from telemetry.
     """
     payload_by_key = {r.key: r.payload for r in store_rows}
     agg: Dict[Tuple[str, str], List[float]] = {}
@@ -122,28 +115,17 @@ def perf_trajectory_rows(tel_rows, store_rows,
         p = payload_by_key.get(r.key, {})
         pair = (str(p.get("app")), str(p.get("scheduler")))
         agg.setdefault(pair, []).append(r.wall_seconds)
-    bench_rate: Dict[Tuple[str, str], float] = {}
-    for cell in (bench or {}).get("cells", []):
-        cfg = cell.get("config", {})
-        pair = (str(cfg.get("app")), str(cfg.get("scheduler")))
-        # Keep the fastest benched shape per pair.
-        rate = float(cell.get("events_per_sec", 0.0))
-        if rate > bench_rate.get(pair, 0.0):
-            bench_rate[pair] = rate
     rows = []
     for pair in sorted(agg):
         walls = agg[pair]
         mean_wall = sum(walls) / len(walls)
-        rate = bench_rate.get(pair)
         rows.append([f"{pair[0]} × {pair[1]}", len(walls),
                      round(mean_wall, 4),
-                     round(1.0 / mean_wall, 2) if mean_wall > 0 else 0.0,
-                     "-" if rate is None else f"{rate:,.0f}"])
+                     round(1.0 / mean_wall, 2) if mean_wall > 0 else 0.0])
     return rows
 
 
-def sweep_report_html(store, bench: Optional[Dict] = None,
-                      title: str = "sweep report") -> str:
+def sweep_report_html(store, title: str = "sweep report") -> str:
     """Render the full report page for an open :class:`ExperimentStore`."""
     counts = store.counts()
     tel_rows = store.telemetry_rows()
@@ -193,18 +175,11 @@ def sweep_report_html(store, bench: Optional[Dict] = None,
         parts.append("<p>No workers have touched this store.</p>")
 
     parts.append("<h2>Perf trajectory</h2>")
-    traj = perf_trajectory_rows(tel_rows, store_rows, bench)
+    traj = perf_trajectory_rows(tel_rows, store_rows)
     if traj:
         parts.append(_html_table(
-            ["app × scheduler", "cells", "mean wall (s)", "cells/sec",
-             "kernel bench (events/sec)"], traj))
-        if bench is not None:
-            parts.append(
-                f'<p class="meta">kernel baseline: '
-                f'{_esc(len(bench.get("cells", [])))} benched cell(s), '
-                f'calibration '
-                f'{bench.get("calibration_ops_per_sec", 0):,.0f} '
-                f"ops/sec</p>")
+            ["app × scheduler", "cells", "mean wall (s)", "cells/sec"],
+            traj))
     else:
         parts.append("<p>No completed cells to chart.</p>")
 
@@ -213,20 +188,14 @@ def sweep_report_html(store, bench: Optional[Dict] = None,
             "</head><body>" + "\n".join(parts) + "</body></html>")
 
 
-def write_report(store, out_dir: str, bench_path: Optional[str] = None,
+def write_report(store, out_dir: str,
                  title: str = "sweep report") -> List[str]:
     """Write ``report.html`` (and a merged trace, when shards exist).
 
-    Returns the list of files written.  ``bench_path`` defaulting to a
-    missing file is fine — the perf-trajectory section simply omits the
-    baseline column's data.
+    Returns the list of files written.
     """
     from repro.obs.fleet import merge_chrome_traces, store_trace_shards
 
-    bench = None
-    if bench_path and os.path.exists(bench_path):
-        with open(bench_path) as fh:
-            bench = json.load(fh)
     os.makedirs(out_dir, exist_ok=True)
     written = []
     shards = store_trace_shards(store)
@@ -234,7 +203,7 @@ def write_report(store, out_dir: str, bench_path: Optional[str] = None,
         trace_path = os.path.join(out_dir, "merged.trace.json")
         merge_chrome_traces(shards, out_path=trace_path)
         written.append(trace_path)
-    page = sweep_report_html(store, bench=bench, title=title)
+    page = sweep_report_html(store, title=title)
     html_path = os.path.join(out_dir, "report.html")
     with open(html_path, "w") as fh:
         fh.write(page)

@@ -11,11 +11,12 @@ views of every distribution are kept:
   exactly-mergeable structure the fleet telemetry uses, so serve runs
   roll up with ``rollup_histograms`` like any other repro run.
 
-``build_report`` assembles cells into the ``repro.harness.bench`` JSON
-shape (``schema``/``benchmark``/``cells``/``total_wall_seconds`` plus
-the machine-speed calibration score), which is what makes a committed
-``BENCH_serve.json`` comparable across PRs; ``report_svg`` renders the
-per-balancer latency figure through :mod:`repro.analysis.svg`.
+``build_report`` assembles cells into one JSON report
+(``schema``/``benchmark``/``cells``/``total_wall_seconds`` plus the
+machine-speed score of :func:`repro.harness.bench.calibrate`), which is
+what makes a committed ``BENCH_serve.json`` comparable across PRs;
+``report_svg`` renders the per-balancer latency figure through
+:mod:`repro.analysis.svg`.
 """
 
 from __future__ import annotations
@@ -126,7 +127,9 @@ class LatencyRecorder:
 
 
 def build_report(cells: List[dict]) -> dict:
-    """Assemble cells into the ``repro.harness.bench``-format report."""
+    """Assemble cells into the serve report: the schema version,
+    ``benchmark: "serve"``, this machine's calibration score, the cells
+    and their summed ``wall_seconds``."""
     from repro.harness.bench import calibrate
 
     return {

@@ -40,6 +40,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.errors import ConfigError
 from repro.obs.metrics import Histogram
+from repro.sched.base import REMOTE_CHUNK_SIZE
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.runtime import SimRuntime
@@ -115,6 +116,10 @@ class AIMDChunkController(Controller):
         self._results = 0
 
     def bind(self, runtime: "SimRuntime", scheduler: "Scheduler") -> None:
+        if REMOTE_CHUNK_SIZE not in scheduler.knobs:
+            raise ConfigError(
+                f"controller 'aimd-chunk' adjusts remote_chunk_size, which "
+                f"scheduler {scheduler.name!r} fixes (not one of its knobs)")
         super().bind(runtime, scheduler)
         self.chunk = int(scheduler.remote_chunk_size)
         if self.target_latency_per_task is None:

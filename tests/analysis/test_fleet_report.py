@@ -49,29 +49,15 @@ class FakeStoreRow:
 
 
 class TestPerfTrajectory:
-    def test_joins_bench_by_app_scheduler(self):
+    def test_rows_per_app_scheduler(self):
         store_rows = [FakeStoreRow("k1", {"app": "uts",
+                                          "scheduler": "DistWS"}),
+                      FakeStoreRow("k2", {"app": "uts",
                                           "scheduler": "DistWS"})]
-        tel_rows = [tel("k1", "w1", 0.0, wall=0.5)]
-        bench = {"cells": [
-            {"config": {"app": "uts", "scheduler": "DistWS"},
-             "events_per_sec": 200000.0},
-            {"config": {"app": "uts", "scheduler": "DistWS"},
-             "events_per_sec": 500000.0},
-        ]}
-        rows = perf_trajectory_rows(tel_rows, store_rows, bench)
-        assert len(rows) == 1
-        label, cells, mean_wall, rate, bench_rate = rows[0]
-        assert label == "uts × DistWS" and cells == 1
-        assert mean_wall == 0.5 and rate == 2.0
-        assert bench_rate == "500,000"  # fastest benched shape wins
-
-    def test_missing_bench_shows_dash(self):
-        store_rows = [FakeStoreRow("k1", {"app": "uts",
-                                          "scheduler": "DistWS"})]
-        rows = perf_trajectory_rows([tel("k1", "w1", 0.0)], store_rows,
-                                    None)
-        assert rows[0][-1] == "-"
+        tel_rows = [tel("k1", "w1", 0.0, wall=0.25),
+                    tel("k2", "w2", 1.0, wall=0.75)]
+        rows = perf_trajectory_rows(tel_rows, store_rows)
+        assert rows == [["uts × DistWS", 2, 0.5, 2.0]]
 
 
 def drained_store(tmp_path, **fleet_kw):
@@ -106,17 +92,12 @@ class TestSweepReport:
     def test_write_report_with_traces_and_bench(self, tmp_path):
         store = drained_store(tmp_path,
                               trace_dir=str(tmp_path / "traces"))
-        bench_path = tmp_path / "bench.json"
-        bench_path.write_text(json.dumps({
-            "calibration_ops_per_sec": 1e6,
-            "cells": [{"config": {"app": "uts", "scheduler": "DistWS"},
-                       "events_per_sec": 123456.0}]}))
         out = str(tmp_path / "out")
-        written = write_report(store, out, bench_path=str(bench_path))
+        written = write_report(store, out)
         assert sorted(os.path.basename(p) for p in written) \
             == ["merged.trace.json", "report.html"]
         html = open(os.path.join(out, "report.html")).read()
-        assert "123,456" in html  # bench column joined in
+        assert "uts × DistWS" in html  # perf-trajectory row
         doc = json.load(open(os.path.join(out, "merged.trace.json")))
         assert {e["pid"] for e in doc["traceEvents"]} == {0}
         store.close()
@@ -124,7 +105,6 @@ class TestSweepReport:
     def test_write_report_missing_bench_is_fine(self, tmp_path):
         store = drained_store(tmp_path)
         out = str(tmp_path / "out")
-        written = write_report(store, out,
-                               bench_path=str(tmp_path / "nope.json"))
+        written = write_report(store, out)
         assert [os.path.basename(p) for p in written] == ["report.html"]
         store.close()

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 
 import pytest
 
+from repro.apps import make_app
 from repro.cluster.topology import ClusterSpec
 from repro.errors import ConfigError
 from repro.obs import (EVENT_SCHEMA, ChromeTraceSink, EventBus, InMemorySink,
                        MetricsRegistry)
 from repro.runtime.runtime import SimRuntime
+from repro.runtime.task import _reset_task_ids
 from repro.sched import make_scheduler
 
 from tests.faults.conftest import fanout_program
@@ -158,7 +161,6 @@ class TestSimulatedScheduleUnchanged:
     """Sinks observe; they never perturb the simulated run."""
 
     def test_snapshot_identical_modulo_obs_key(self):
-        import json
         rt = make_rt()
         plain = rt.run(fanout_program(24, work=500_000, n_places=4))
         bus, _, observed = observed_run()
@@ -167,6 +169,35 @@ class TestSimulatedScheduleUnchanged:
         assert "obs" not in a
         b.pop("obs")
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+    @pytest.mark.parametrize("sched,app", [("DistWS", "dmg"),
+                                           ("X10WS", "turing")])
+    def test_app_run_identical_modulo_obs_key(self, sched, app, tmp_path):
+        """The full stack a traced run attaches (registry, Chrome trace,
+        100_000-cycle sampler) on an 8x4 app run: X10WS on turing
+        collapses most failed rounds and replays their events."""
+        trace = str(tmp_path / "trace.json")
+
+        def run(observed):
+            _reset_task_ids()
+            spec = ClusterSpec(n_places=8, workers_per_place=4,
+                               max_threads=8)
+            rt = SimRuntime(spec, make_scheduler(sched), seed=1)
+            if observed:
+                bus = EventBus(sample_interval=100_000)
+                bus.subscribe(MetricsRegistry())
+                bus.subscribe(ChromeTraceSink(trace))
+                bus.attach(rt)
+            return make_app(app, scale="test", seed=12345).run(rt).snapshot()
+
+        bare = run(observed=False)
+        observed = run(observed=True)
+        assert "obs" not in bare
+        assert observed.pop("obs")["events"]
+        assert (json.dumps(bare, sort_keys=True)
+                == json.dumps(observed, sort_keys=True))
+        with open(trace) as fh:
+            assert json.load(fh)["traceEvents"]
 
 
 class _KindsSink(InMemorySink):

@@ -9,6 +9,8 @@ the lifecycle invariants:
 - a finished process's handle is recycled LIFO, but a *dirty* handle
   (an interrupt left a stale armed entry in the heap) is retired forever
   — a stale pop must never fire a handle's new owner;
+- spinners whose sleeps share every due time count exactly one
+  dispatch per resume through the same-cycle batch drain;
 - arbitrary arm/cancel/fire interleavings (hypothesis-driven) produce
   the same timeline, causes, and ``events_processed`` accounting as the
   object-record kernel kept in ``tests/sim/reference_kernel.py``.
@@ -166,6 +168,24 @@ def test_clean_interrupt_of_parked_process_recycles_handle():
     assert p.triggered
     assert not p._dirty
     assert p._h in env._free
+
+
+def test_spinners_sharing_due_times_count_every_resume():
+    """Sleep-resume spinners that share every due time: the run loop's
+    same-cycle batch drain dispatches each resume exactly once.  Each
+    spinner costs one start, one resume per sleep and one exit."""
+    env = Environment()
+    n_spinners, per = 4, 500
+
+    def spinner():
+        for _ in range(per):
+            yield env.sleep(1.0)
+
+    for _ in range(n_spinners):
+        env.process(spinner())
+    env.run()
+    assert env.events_processed == n_spinners * (per + 2)
+    assert env.now == per
 
 
 # -- hypothesis: interleavings match the reference kernel --------------------

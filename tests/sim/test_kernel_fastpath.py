@@ -42,7 +42,8 @@ from repro.apps import make_app
 from repro.cluster.topology import ClusterSpec
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.obs import EventBus, InMemorySink, JsonlSink, MetricsRegistry
+from repro.obs import (ChromeTraceSink, EventBus, InMemorySink, JsonlSink,
+                       MetricsRegistry)
 from repro.obs.bus import _STEAL_LIFECYCLE
 from repro.runtime.runtime import SimRuntime
 from repro.runtime.task import _reset_task_ids
@@ -128,14 +129,16 @@ _REPLAY_CELLS = [
 ]
 
 
-def _cell_runtime(key: str, knobs: dict, workers: int = 2):
-    """A runtime for ``key`` on 4 places x ``workers``, its fault plan
-    attached, and the name of the app to run on it."""
+def _cell_runtime(key: str, knobs: dict, shape=(4, 2, 4)):
+    """A runtime for ``key`` on ``shape`` = (places, workers a place,
+    threads a place), its fault plan attached, and the name of the app
+    to run on it."""
     sched, app, seed, *plan = key.split("|")
     sched, _, topology = sched.partition("@")
+    places, workers, threads = shape
     _reset_task_ids()
-    spec = ClusterSpec(n_places=4, workers_per_place=workers,
-                       max_threads=workers + 2, topology=topology or "full")
+    spec = ClusterSpec(n_places=places, workers_per_place=workers,
+                       max_threads=threads, topology=topology or "full")
     rt = SimRuntime(spec, make_scheduler(sched, **knobs), seed=int(seed))
     if plan:
         FaultInjector(FaultPlan.parse(plan[0])).attach(rt)
@@ -188,16 +191,30 @@ def test_collapsed_round_replays_observed_stream_exactly(key, knobs, interval,
 
 #: The replay cells, plus two with four workers a place: with a single
 #: co-located peer the steal scan never advances past its first probe.
-_TALLY_CELLS = ([(key, knobs, 2) for key, knobs in _REPLAY_CELLS]
-                + [("DistWS|uts|1", {}, 4), ("X10WS|turing|1", {}, 4)])
+#: The last two run on 8 places x 4 workers (8 threads a place) with a
+#: ChromeTraceSink beside the registry, the full stack a traced run
+#: attaches; X10WS on turing collapses most of its failed rounds.
+_TALLY_CELLS = ([(key, knobs, (4, 2, 4), False)
+                 for key, knobs in _REPLAY_CELLS]
+                + [("DistWS|uts|1", {}, (4, 4, 6), False),
+                   ("X10WS|turing|1", {}, (4, 4, 6), False),
+                   ("DistWS|dmg|1", {}, (8, 4, 8), True),
+                   ("X10WS|turing|1", {}, (8, 4, 8), True)])
 
 
-def _tally_cell(key: str, knobs: dict, workers: int, sample_interval,
-                everything: bool, monkeypatch):
-    """Run ``key`` on ``workers`` workers a place, observed by
-    MetricsRegistry, plus a consume-everything sink when ``everything``.
-    Returns the snapshot's ``obs`` and ``steals`` blocks and the events
-    that reached :meth:`EventBus.emit_at`, counted by kind."""
+def _tally_id(key: str, shape, trace: bool) -> str:
+    if shape == (4, 2, 4):
+        return key
+    return f"{key}@{shape[0]}x{shape[1]}" + ("+chrome" if trace else "")
+
+
+def _tally_cell(key: str, knobs: dict, shape, trace: "str | None",
+                sample_interval, everything: bool, monkeypatch):
+    """Run ``key`` on ``shape``, observed by MetricsRegistry (plus a
+    ChromeTraceSink writing to ``trace``, when given), plus a
+    consume-everything sink when ``everything``.  Returns the snapshot's
+    ``obs`` and ``steals`` blocks and the events that reached
+    :meth:`EventBus.emit_at`, counted by kind."""
     emit_at = EventBus.emit_at
     dispatched = Counter()
 
@@ -206,9 +223,11 @@ def _tally_cell(key: str, knobs: dict, workers: int, sample_interval,
         emit_at(self, t, kind, fields)
 
     monkeypatch.setattr(EventBus, "emit_at", counting_emit_at)
-    rt, app = _cell_runtime(key, knobs, workers)
+    rt, app = _cell_runtime(key, knobs, shape)
     bus = EventBus(sample_interval=sample_interval)
     bus.subscribe(MetricsRegistry())
+    if trace:
+        bus.subscribe(ChromeTraceSink(trace))
     if everything:
         bus.subscribe(InMemorySink())
     bus.attach(rt)
@@ -218,26 +237,30 @@ def _tally_cell(key: str, knobs: dict, workers: int, sample_interval,
 
 
 @pytest.mark.parametrize("interval", [None, 100_000, 7_919])
-@pytest.mark.parametrize("key,knobs,workers", _TALLY_CELLS,
-                         ids=[key if w == 2 else f"{key}@4x{w}"
-                              for key, _, w in _TALLY_CELLS])
-def test_tallied_attempts_match_dispatched_attempts(key, knobs, workers,
-                                                    interval, monkeypatch):
+@pytest.mark.parametrize("key,knobs,shape,chrome", _TALLY_CELLS,
+                         ids=[_tally_id(key, shape, chrome)
+                              for key, _, shape, chrome in _TALLY_CELLS])
+def test_tallied_attempts_match_dispatched_attempts(key, knobs, shape, chrome,
+                                                    interval, monkeypatch,
+                                                    tmp_path):
     """Every emission site counts an event no sink reads instead of
     dispatching it: the event counts and the metrics block equal a run
     whose consume-everything sink forces per-event dispatch of every
     kind.  The 7_919-cycle sampler falls due inside rounds, where events
     must be dispatched one by one."""
+    trace = str(tmp_path / "trace.json") if chrome else None
     tallied, steals, dispatched = _tally_cell(
-        key, knobs, workers, interval, False, monkeypatch)
+        key, knobs, shape, trace, interval, False, monkeypatch)
     everything, _, all_dispatched = _tally_cell(
-        key, knobs, workers, interval, True, monkeypatch)
+        key, knobs, shape, trace, interval, True, monkeypatch)
     assert tallied == everything
     assert all_dispatched == Counter(everything["events"])
     if interval is None:
         # Not vacuous: with no sampler, exactly the kinds a sink reads
         # and the steal-lifecycle kinds reach emit_at, each every time.
         read = MetricsRegistry.consumes | _STEAL_LIFECYCLE
+        if chrome:
+            read |= ChromeTraceSink.consumes
         assert dispatched == Counter({k: n for k, n in
                                       tallied["events"].items()
                                       if k in read})
@@ -245,6 +268,28 @@ def test_tallied_attempts_match_dispatched_attempts(key, knobs, workers,
             "steal_attempt", "task_start", "worker_park"}
         assert tallied["events"]["steal_attempt"] == (
             steals["local_attempts"] + steals["shared_local_attempts"])
+
+
+#: Bare cells on 8 places x 4 workers (8 threads a place), each pinned
+#: on ``(makespan_cycles, tasks_executed, total_steals,
+#: events_processed)``: steal-heavy trees under board-driven and lifeline
+#: stealing, and barrier-phased ring exchange with heavy park/wake churn.
+#: A kernel change that moves any of them skipped or double-counted a
+#: heap entry, or changed the physics.
+_GRID_CELLS = {
+    "DistWS|uts|1": (1632789.6, 948, 875, 8237),
+    "DistWS|turing|1": (21912986.93296049, 416, 220, 17258),
+    "Lifeline|uts|1": (1714169.9999999986, 948, 791, 8367),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_GRID_CELLS))
+def test_grid_cell_observables_pinned(key):
+    rt, app = _cell_runtime(key, {}, (8, 4, 8))
+    stats = make_app(app, scale="test", seed=12345).run(rt)
+    assert (stats.makespan_cycles, stats.tasks_executed,
+            stats.steals.total_steals,
+            rt.env.events_processed) == _GRID_CELLS[key]
 
 
 # -- bounded memory ---------------------------------------------------------

@@ -13,7 +13,8 @@ from repro.obs.events import ObsEvent
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime.runtime import SimRuntime
 from repro.runtime.task import _reset_task_ids
-from repro.sched import make_scheduler
+from repro.sched import SCHEDULERS, make_scheduler
+from repro.sched.base import REMOTE_CHUNK_SIZE
 from repro.tune import (
     CONTROLLERS,
     AIMDChunkController,
@@ -24,6 +25,8 @@ from repro.tune import (
 
 # -- synthetic-signal harness (no simulation) -------------------------------
 class _DummyScheduler:
+    name = "dummy"
+    knobs = (REMOTE_CHUNK_SIZE,)
     remote_chunk_size = 2
 
 
@@ -214,6 +217,20 @@ class TestFactory:
     def test_unknown_name_is_configerror(self):
         with pytest.raises(ConfigError, match="unknown controller"):
             make_controller("pid")
+
+    @pytest.mark.parametrize("name", sorted(SCHEDULERS))
+    def test_aimd_binds_only_where_the_chunk_is_a_knob(self, name):
+        """A policy that fixes its chunk (RandomWS's 1, X10WS with no
+        remote tier) rejects the chunk controller instead of having its
+        ``remote_chunk_size`` rewritten behind its back."""
+        sched = make_scheduler(name, controller=AIMDChunkController())
+        spec = ClusterSpec(n_places=2, workers_per_place=2, max_threads=4)
+        if name in ("X10WS", "RandomWS", "Lifeline", "StealHalfWS"):
+            with pytest.raises(ConfigError, match="remote_chunk_size"):
+                SimRuntime(spec, sched, seed=1)
+        else:
+            SimRuntime(spec, sched, seed=1)
+            assert sched.controller.chunk == REMOTE_CHUNK_SIZE.default
 
 
 class TestMetricsIntegration:
