@@ -754,8 +754,12 @@ def run_claimed(store: ExperimentStore, row: ClaimedRow, owner: str,
 
     Returns ``True`` iff this worker's result landed (the lease was
     still ours at commit time).  A simulation error is recorded via
-    :meth:`ExperimentStore.fail` (retried or quarantined); an interrupt
-    releases the lease and re-raises.
+    :meth:`ExperimentStore.fail` (retried or quarantined).  An
+    interrupt anywhere from here to the commit — the heartbeat start,
+    the simulation, or the result's encoding inside
+    :meth:`ExperimentStore.complete` — releases the lease and
+    re-raises; a release after a committed ``complete`` or ``fail`` is
+    a no-op (its ``status = 'leased'`` fence).
 
     With a :class:`repro.obs.fleet.FleetTelemetry` config the run is
     observed (metrics registry, optional trace shard) and the snapshot
@@ -770,29 +774,33 @@ def run_claimed(store: ExperimentStore, row: ClaimedRow, owner: str,
         args=(store, row.key, owner, heartbeat_seconds, lease_seconds,
               stop),
         name=f"store-heartbeat-{row.key[:8]}", daemon=True)
-    beat.start()
-    telemetry = trace_path = None
+    telemetry = trace_path = error = None
     try:
-        if fleet is not None and getattr(fleet, "enabled", False):
-            from repro.obs.fleet import observe_run
-            result, telemetry, trace_path = observe_run(
-                row.spec, row.key, owner, row.attempt, fleet)
-        else:
-            result = simulate(row.spec)
+        beat.start()
+        try:
+            if fleet is not None and getattr(fleet, "enabled", False):
+                from repro.obs.fleet import observe_run
+                result, telemetry, trace_path = observe_run(
+                    row.spec, row.key, owner, row.attempt, fleet)
+            else:
+                result = simulate(row.spec)
+        except (KeyboardInterrupt, SystemExit):
+            raise
+        except BaseException:
+            error = traceback.format_exc()
+        stop.set()
+        beat.join()
+        if error is not None:
+            store.fail(row.key, owner, error)
+            return False
+        return store.complete(row.key, owner, result, telemetry=telemetry,
+                              trace_path=trace_path)
     except (KeyboardInterrupt, SystemExit):
         stop.set()
-        beat.join()
+        if beat.is_alive():
+            beat.join()
         store.release(row.key, owner)
         raise
-    except BaseException:
-        stop.set()
-        beat.join()
-        store.fail(row.key, owner, traceback.format_exc())
-        return False
-    stop.set()
-    beat.join()
-    return store.complete(row.key, owner, result, telemetry=telemetry,
-                          trace_path=trace_path)
 
 
 def drain(store: ExperimentStore, owner: Optional[str] = None,
@@ -935,6 +943,8 @@ def run_worker(path: str, owner: Optional[str] = None,
                          poll_seconds=poll_seconds,
                          fleet=fleet)
     except KeyboardInterrupt:
-        return 0  # lease already released by run_claimed
+        # run_claimed released the lease it held; a row claimed but not
+        # yet handed to it is reclaimed by the reaper at lease expiry.
+        return 0
     finally:
         store.close()

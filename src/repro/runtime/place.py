@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING, List, Optional
 
 from repro.cluster.topology import ClusterSpec
 from repro.runtime.deques import PrivateDeque, SharedDeque
-from repro.sim.engine import CAUSE_WORK, PARK_PARKED, Environment
+from repro.sim.engine import CAUSE_WORK, Environment, ParkWaiters
 from repro.sim.resources import Mailbox
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -59,12 +59,8 @@ class Place:
         #: property setter.
         self._n_private = 0
         self._n_spare = 0
-        #: Idle workers parked waiting for work to arrive at this place:
-        #: ``(ParkRecord, round)`` entries appended by
-        #: :meth:`add_park_waiter`.
-        self._work_waiters: List = []
-        #: Compaction threshold for stale park entries (adaptive).
-        self._compact_at = 16
+        #: Idle workers parked waiting for work to arrive at this place.
+        self._work_waiters = ParkWaiters(CAUSE_WORK)
 
     # -- load status (Algorithm 1 inputs) ----------------------------------
     @property
@@ -124,32 +120,13 @@ class Place:
 
     # -- idle-worker wakeup -----------------------------------------------------
     def add_park_waiter(self, record) -> None:
-        """Register a worker's park record for this round's work wakeup.
-
-        Appending ``(record, round)`` per park (rather than registering
-        persistently) keeps the wake order at notification time identical
-        to the legacy per-round events: simultaneously woken workers
-        resume in the order they parked.  Entries from earlier rounds are
-        stale — skipped at notify time, swept once the list outgrows the
-        live worker count.
-        """
-        waiters = self._work_waiters
-        waiters.append((record, record.round))
-        if len(waiters) > self._compact_at:
-            live = [(rec, rnd) for rec, rnd in waiters
-                    if rec.round == rnd and rec.state == PARK_PARKED]
-            self._work_waiters = live
-            self._compact_at = max(16, 2 * len(live) + 8)
+        """Register a worker's park record for this round's work wakeup
+        (see :class:`~repro.sim.engine.ParkWaiters`)."""
+        self._work_waiters.add(record)
 
     def notify_work(self) -> None:
         """Wake every parked worker (new work arrived at this place)."""
-        waiters = self._work_waiters
-        if not waiters:
-            return
-        self._work_waiters = []
-        for rec, rnd in waiters:
-            if rec.round == rnd:
-                rec._fire(CAUSE_WORK)
+        self._work_waiters.fire()
 
     # -- private-deque mapping helpers ----------------------------------------
     def pick_private_deque(self) -> PrivateDeque:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import List, Set
 
-from repro.sim.engine import CAUSE_BOARD, PARK_PARKED, Environment
+from repro.sim.engine import CAUSE_BOARD, Environment, ParkWaiters
 
 
 class StatusBoard:
@@ -31,38 +31,20 @@ class StatusBoard:
     def __init__(self, env: Environment) -> None:
         self.env = env
         self._surplus: Set[int] = set()
-        #: ``(ParkRecord, round)`` entries from parked workers.
-        self._waiters: List = []
-        self._compact_at = 16
+        #: Parked thieves waiting for any place to advertise surplus.
+        self._waiters = ParkWaiters(CAUSE_BOARD)
 
     def advertise(self, place_id: int) -> None:
         """Mark a place as having surplus; wakes parked thieves."""
         if place_id in self._surplus:
             return
         self._surplus.add(place_id)
-        waiters = self._waiters
-        if not waiters:
-            return
-        self._waiters = []
-        for rec, rnd in waiters:
-            if rec.round == rnd:
-                rec._fire(CAUSE_BOARD)
+        self._waiters.fire()
 
     def add_park_waiter(self, record) -> None:
-        """Register a park record for the next surplus advertisement.
-
-        Per-round ``(record, round)`` entries (see
-        :meth:`~repro.runtime.place.Place.add_park_waiter`) preserve the
-        legacy park-order wakeup; stale rounds are skipped and lazily
-        swept.
-        """
-        waiters = self._waiters
-        waiters.append((record, record.round))
-        if len(waiters) > self._compact_at:
-            live = [(rec, rnd) for rec, rnd in waiters
-                    if rec.round == rnd and rec.state == PARK_PARKED]
-            self._waiters = live
-            self._compact_at = max(16, 2 * len(live) + 8)
+        """Register a park record for the next surplus advertisement
+        (see :class:`~repro.sim.engine.ParkWaiters`)."""
+        self._waiters.add(record)
 
     def retract(self, place_id: int) -> None:
         """Mark a place as having no surplus. Idempotent."""

@@ -4,8 +4,9 @@ A worker runs an endless loop (a simulated process):
 
 1. pop the own private deque (LIFO — most recently created task first);
 2. otherwise probe the home mailbox and steal from a co-located worker
-   (the kernel-resident :class:`_StealScan`), then run the scheduler
-   policy's tail (shared deque, distributed steal — policy-specific);
+   (:meth:`Worker._steal_scan`, one generator for every policy), then
+   run the scheduler policy's tail (shared deque, distributed steal —
+   policy-specific);
 3. execute the task: run its Python body, price its memory behaviour,
    spawn its children, and advance simulated time by the total cost;
 4. if no work was found anywhere, record a failed round and back off
@@ -19,164 +20,17 @@ paper's observation that stealing itself raises measured node utilization.
 
 from __future__ import annotations
 
-from heapq import heappush as _heappush
-from typing import TYPE_CHECKING, Generator, List
+from typing import TYPE_CHECKING, Generator, List, Optional
 
 from repro.cluster.cache import LruCache
 from repro.runtime.deques import PrivateDeque
 from repro.runtime.task import Task, TaskContext, TaskState
-from repro.sim.engine import (SCAN_MISS, CAUSE_WORK, Interrupt, KernelRound,
-                              ParkRecord)
+from repro.sim.engine import CAUSE_WORK, Interrupt, ParkRecord
 from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.place import Place
     from repro.runtime.runtime import SimRuntime
-
-
-class _StealScan(KernelRound):
-    """Kernel-resident deque-pop + mailbox + co-located-steal round.
-
-    The one implementation of the round prefix every policy shares (the
-    private-deque-op stall, the own pop, the mailbox probe, the
-    co-located scan), executed step by step from the dispatch loop.  Each
-    step arms one heap entry with the due time and sequence number a
-    ``sleep`` in the worker's generator would have taken, and performs
-    its side effects — counters, RNG draws, observer events — in the
-    order a generator would; see :class:`~repro.sim.engine.KernelRound`
-    for the byte-identity contract.  Resolves with the acquired task, or
-    with ``SCAN_MISS`` so the worker's generator runs the policy tail
-    (shared deque, remote steals) or, for a policy without one, its
-    failed round.  It runs the same way with or without an observer or
-    a fault plan attached; each co-located attempt is counted on the
-    bus (or dispatched, when a sink reads it) the moment it is made.
-
-    Phases: 0 = the private-deque-op stall fired (pop own deque, probe
-    the mailbox, open the co-located scan); 1 = one co-located probe
-    fired (attempt the steal, advance or miss out); 2 = the
-    steal-success stall fired (settle the stolen task).
-
-    During the steal-success stall the stolen task sits on
-    ``worker.pending_chunk``, so a crash of the thief's place inside the
-    stall relocates it like any queued work.
-    """
-
-    __slots__ = ("worker", "st", "costs", "obs", "phase", "order", "idx",
-                 "mailbox_get", "deque_pop")
-
-    def __init__(self, env, proc, worker: "Worker") -> None:
-        super().__init__(env, proc)
-        self.worker = worker
-        rt = worker.runtime
-        self.st = rt.stats.steals
-        self.costs = rt.costs
-        self.obs = rt.obs
-        self.phase = 0
-        self.order: list = []
-        self.idx = 0
-        self.mailbox_get = worker.place.mailbox.try_get
-        self.deque_pop = worker.deque.pop
-
-    def begin(self) -> "_StealScan":
-        """Arm the round's opening deque-op stall; yield ``self`` after."""
-        self.phase = 0
-        env = self.env
-        env._seq += 1
-        env._arm[self._h] = env._seq
-        _heappush(env._queue,
-                  (env._now + self.costs.private_deque_op, env._seq, self._h))
-        return self
-
-    def step(self) -> None:
-        # Each branch arms its next heap entry inline (seq bump, _arm
-        # column, push): this method fires hundreds of thousands of times
-        # per cell and a helper's extra call frame is measurable.
-        phase = self.phase
-        costs = self.costs
-        worker = self.worker
-        env = self.env
-        if phase == 1:
-            # A co-located probe fired: attempt the steal it paid for.
-            worker.overhead_cycles += costs.local_steal_attempt
-            task = worker.steal_peers[self.order[self.idx]].deque.steal()
-            if task is not None:
-                worker.pending_chunk.append(task)
-                self.phase = 2
-                env._seq += 1
-                env._arm[self._h] = env._seq
-                _heappush(env._queue, (env._now + costs.local_steal_success,
-                                       env._seq, self._h))
-                return
-            idx = self.idx + 1
-            if idx < len(self.order):
-                self.st.local_attempts += 1
-                obs = self.obs
-                if obs is not None and not obs.tally("steal_attempt",
-                                                     env._now):
-                    obs.emit_at(env._now, "steal_attempt", {
-                        "tier": "local", "place": worker.place.place_id,
-                        "worker": worker.worker_index,
-                        "victim": worker.steal_peers[self.order[idx]]
-                        .worker_index})
-                self.idx = idx
-                env._seq += 1
-                env._arm[self._h] = env._seq
-                _heappush(env._queue, (env._now + costs.local_steal_attempt,
-                                       env._seq, self._h))
-                return
-            self._resolve(SCAN_MISS)
-        elif phase == 0:
-            worker.overhead_cycles += costs.private_deque_op
-            task = self.deque_pop()
-            if task is None:
-                task = self.mailbox_get()
-                if task is None:
-                    order = worker.victims_rng.permutation(
-                        len(worker.steal_peers)).tolist()
-                    if order:
-                        self.order = order
-                        self.idx = 0
-                        self.st.local_attempts += 1
-                        obs = self.obs
-                        if obs is not None and not obs.tally(
-                                "steal_attempt", env._now):
-                            obs.emit_at(env._now, "steal_attempt", {
-                                "tier": "local",
-                                "place": worker.place.place_id,
-                                "worker": worker.worker_index,
-                                "victim": worker.steal_peers[order[0]]
-                                .worker_index})
-                        self.phase = 1
-                        env._seq += 1
-                        env._arm[self._h] = env._seq
-                        _heappush(env._queue,
-                                  (env._now + costs.local_steal_attempt,
-                                   env._seq, self._h))
-                        return
-                    self._resolve(SCAN_MISS)
-                    return
-                self.st.mailbox_hits += 1
-                obs = self.obs
-                if obs is not None and not obs.tally("mailbox_get",
-                                                     env._now):
-                    obs.emit_at(env._now, "mailbox_get", {
-                        "place": worker.place.place_id,
-                        "worker": worker.worker_index, "task": task.task_id})
-            self._resolve(task)
-        else:
-            # The steal-success stall fired; settle the task.
-            worker.overhead_cycles += costs.local_steal_success
-            self.st.local_hits += 1
-            obs = self.obs
-            if obs is not None and not obs.tally("steal_hit", env._now):
-                obs.emit_at(env._now, "steal_hit", {
-                    "tier": "local", "place": worker.place.place_id,
-                    "worker": worker.worker_index,
-                    "victim": worker.steal_peers[self.order[self.idx]]
-                    .worker_index, "tasks": 1})
-            # Out of pending_chunk and into execute() (which makes it the
-            # current_task) with no yield in between.
-            self._resolve(worker.pending_chunk.pop())
 
 
 class Worker:
@@ -214,7 +68,7 @@ class Worker:
         #: worker's id and the peer/place orders are structurally
         #: constant, so they are derived once, not on every attempt.  The
         #: co-located peers and their victim stream are built by
-        #: :meth:`_run_loop` before its first round; the remote-tier pair
+        #: :meth:`run` before its first round; the remote-tier pair
         #: is filled lazily by the scheduler.
         self.victims_rng = None
         self.steal_peers: "list[Worker] | None" = None
@@ -258,32 +112,25 @@ class Worker:
 
     # -- main loop ----------------------------------------------------------
     def run(self) -> Generator[Event, object, None]:
-        """The worker's simulated process body.
+        """The worker's simulated process body: Algorithm 1's idle loop,
+        the same for every policy.
+
+        Each round is the scheduler's collapsed round
+        (:meth:`~repro.sched.base.Scheduler.fast_round`) when it proves
+        the round fails, and otherwise the round prefix
+        (:meth:`_steal_scan`), then the policy's
+        :meth:`~repro.sched.base.Scheduler.find_work_tail` (if it has
+        one) on a prefix miss; a round that finds nothing records a
+        failed round and parks the worker until work arrives, its
+        backoff expires, the status board signals surplus or the
+        computation terminates.
 
         A fail-stop crash of this worker's place (fault injection)
         delivers an :class:`Interrupt`; the worker then stops permanently
         — its in-flight task has already been accounted for (re-executed
-        or committed) by the injector.
-        """
-        try:
-            yield from self._run_loop()
-        except Interrupt:
-            if self.place.dead:
-                return  # fail-stop: this worker never runs again
-            raise
-
-    def _run_loop(self) -> Generator[Event, object, None]:
-        """Algorithm 1's idle loop, the same for every policy.
-
-        Each round is the scheduler's collapsed round
-        (:meth:`~repro.sched.base.Scheduler.fast_round`) when it proves
-        the round fails, and otherwise the kernel-resident steal scan,
-        then the policy's
-        :meth:`~repro.sched.base.Scheduler.find_work_tail` (if it has
-        one) on a scan miss; a round that finds nothing records a failed
-        round and parks the worker until work arrives, its backoff
-        expires, the status board signals surplus or the computation
-        terminates.
+        or committed) by the injector.  The loop is the process body
+        itself, not wrapped in a second generator: every resume of the
+        worker passes through one frame fewer.
         """
         rt = self.runtime
         place = self.place
@@ -310,48 +157,110 @@ class Worker:
         board = scheduler.park_board()
         self.steal_peers = [w for w in place.workers if w is not self]
         self.victims_rng = rt.rngs.stream("victims", *self.wid)
-        scan = _StealScan(env, self.proc, self)
+        steal_scan = self._steal_scan
         gate_registered = False
-        while not gate.is_open:
-            if place.dead:
-                return
-            if (due := fast_round(self)) is not None:
-                yield sleep_at(due)
-                task = None
-            else:
-                task = yield scan.begin()
-                if task is SCAN_MISS:
+        try:
+            while not gate.is_open:
+                if place.dead:
+                    return
+                if (due := fast_round(self)) is not None:
+                    yield sleep_at(due)
                     task = None
-                    if find_work_tail is not None:
+                else:
+                    task = yield from steal_scan()
+                    if task is None and find_work_tail is not None:
                         task = yield from find_work_tail(self)
-            if task is not None:
-                self._backoff = rt.idle_backoff_base
-                yield from self.execute(task)
-                continue
-            # Nothing anywhere: failed round, then back off.
-            place.note_failed_steal()
-            scheduler.note_failed_round(self)
-            steals.failed_rounds += 1
-            if obs is not None and not obs.tally("worker_park", env.now):
-                obs.emit_at(env.now, "worker_park", {
+                if task is not None:
+                    self._backoff = rt.idle_backoff_base
+                    yield from self.execute(task)
+                    continue
+                # Nothing anywhere: failed round, then back off.
+                place.note_failed_steal()
+                scheduler.note_failed_round(self)
+                steals.failed_rounds += 1
+                if obs is not None and not obs.tally("worker_park", env.now):
+                    obs.emit_at(env.now, "worker_park", {
+                        "place": place.place_id, "worker": self.worker_index,
+                        "backoff": self._backoff})
+                park.begin(self._backoff, gate.is_open)
+                if not gate_registered:
+                    # The gate fires at most once (termination), so the park
+                    # registers exactly once — no per-round waiter leak.
+                    gate.register_park(park)
+                    gate_registered = True
+                place.add_park_waiter(park)
+                if board is not None:
+                    board.add_park_waiter(park)
+                # Backoff is read by the runtime's idle parameters live:
+                # online controllers may retune base/cap mid-run.
+                self._backoff = min(self._backoff * 2, rt.idle_backoff_cap)
+                cause = yield park
+                if cause is CAUSE_WORK:
+                    # Work arrived at this place: search eagerly again.
+                    self._backoff = rt.idle_backoff_base
+        except Interrupt:
+            if place.dead:
+                return  # fail-stop: this worker never runs again
+            raise
+
+    def _steal_scan(self) -> Generator[Event, object, Optional[Task]]:
+        """The round prefix every policy shares (Algorithm 1 lines 9-16).
+
+        Pay the private-deque op, then pop the own deque, probe the home
+        mailbox, and probe the co-located peers in a fresh random order
+        (one ``victims_rng`` draw per round, taken even with no peers).
+        Returns the acquired task, or ``None`` so :meth:`run` runs the
+        policy's tail.  Every attempt is counted, and put on the bus
+        at the moment it is made, before the probe's stall.
+
+        During the steal-success stall the stolen task sits on
+        :attr:`pending_chunk`, so a crash of the thief's place inside
+        the stall relocates it like any queued work; it leaves the list
+        and enters :meth:`execute` with no yield in between.
+        """
+        rt = self.runtime
+        env = rt.env
+        costs = rt.costs
+        steals = rt.stats.steals
+        obs = rt.obs
+        place = self.place
+        yield env.sleep(costs.private_deque_op)
+        self.overhead_cycles += costs.private_deque_op
+        task = self.deque.pop()
+        if task is not None:
+            return task
+        task = place.mailbox.try_get()
+        if task is not None:
+            steals.mailbox_hits += 1
+            if obs is not None and not obs.tally("mailbox_get", env._now):
+                obs.emit_at(env._now, "mailbox_get", {
                     "place": place.place_id, "worker": self.worker_index,
-                    "backoff": self._backoff})
-            park.begin(self._backoff, gate.is_open)
-            if not gate_registered:
-                # The gate fires at most once (termination), so the park
-                # registers exactly once — no per-round waiter leak.
-                gate.register_park(park)
-                gate_registered = True
-            place.add_park_waiter(park)
-            if board is not None:
-                board.add_park_waiter(park)
-            # Backoff is read by the runtime's idle parameters live:
-            # online controllers may retune base/cap mid-run.
-            self._backoff = min(self._backoff * 2, rt.idle_backoff_cap)
-            cause = yield park
-            if cause is CAUSE_WORK:
-                # Work arrived at this place: search eagerly again.
-                self._backoff = rt.idle_backoff_base
+                    "task": task.task_id})
+            return task
+        peers = self.steal_peers
+        for k in self.victims_rng.permutation(len(peers)).tolist():
+            victim = peers[k]
+            steals.local_attempts += 1
+            if obs is not None and not obs.tally("steal_attempt", env._now):
+                obs.emit_at(env._now, "steal_attempt", {
+                    "tier": "local", "place": place.place_id,
+                    "worker": self.worker_index,
+                    "victim": victim.worker_index})
+            yield env.sleep(costs.local_steal_attempt)
+            self.overhead_cycles += costs.local_steal_attempt
+            task = victim.deque.steal()
+            if task is not None:
+                self.pending_chunk.append(task)
+                yield env.sleep(costs.local_steal_success)
+                self.overhead_cycles += costs.local_steal_success
+                steals.local_hits += 1
+                if obs is not None and not obs.tally("steal_hit", env._now):
+                    obs.emit_at(env._now, "steal_hit", {
+                        "tier": "local", "place": place.place_id,
+                        "worker": self.worker_index,
+                        "victim": victim.worker_index, "tasks": 1})
+                return self.pending_chunk.pop()
+        return None
 
     # -- execution -------------------------------------------------------------
     def execute(self, task: Task) -> Generator[Event, object, None]:

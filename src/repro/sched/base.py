@@ -10,12 +10,13 @@ A scheduler owns two decisions:
 
 Every policy's steal round opens with the same tiers — probe the home
 mailbox, then steal from a co-located worker's private deque.  That
-prefix has one implementation, the worker's kernel-resident scan
-(:class:`repro.runtime.worker._StealScan`).  What follows a co-located
-miss also has one implementation, :meth:`Scheduler.find_work_tail`: a
-*generator* run inside the worker's simulated process that yields
-timeouts / lock acquisitions to consume simulated time and returns the
-acquired :class:`~repro.runtime.task.Task` (or ``None``).  It takes from
+prefix has one implementation, the worker's generator
+:meth:`repro.runtime.worker.Worker._steal_scan`.  What follows a
+co-located miss also has one implementation,
+:meth:`Scheduler.find_work_tail`: a *generator* run inside the worker's
+simulated process that yields timeouts / lock acquisitions to consume
+simulated time and returns the acquired
+:class:`~repro.runtime.task.Task` (or ``None``).  It takes from
 the local shared deque and then, for a distributed policy on more than
 one place, runs the remote tier.  X10WS has no tail at all.
 
@@ -245,10 +246,11 @@ class Scheduler(ABC):
         The local shared deque, then — for a distributed policy on more
         than one place — the remote tier: :meth:`_remote_order`, the
         steal, :meth:`_remote_done`.  The universal prefix (mailbox
-        probe, co-located steal) runs kernel-resident in the worker's
-        :class:`~repro.runtime.worker._StealScan`.  A policy without
-        these tiers sets ``find_work_tail = None`` (X10WS): its
-        co-located miss is a failed round.
+        probe, co-located steal) is the worker's own generator,
+        :meth:`~repro.runtime.worker.Worker._steal_scan`, which runs
+        first.  A policy without these tiers sets
+        ``find_work_tail = None`` (X10WS): its co-located miss is a
+        failed round.
         """
         task = yield from self._steal_local_shared(worker)
         if (task is not None or not self.distributed
@@ -277,8 +279,9 @@ class Scheduler(ABC):
     def _probe_mailbox(self, worker: "Worker") -> Optional[Task]:
         """Tier 0 re-probe: take a task shipped to this place meanwhile.
 
-        The round's opening probe runs in the worker's steal scan; the
-        remote tiers re-probe here between victims (§V-B2).
+        The round's opening probe is the worker's
+        (:meth:`~repro.runtime.worker.Worker._steal_scan`); the remote
+        tier re-probes here between victims (§V-B2).
         """
         task = worker.place.mailbox.try_get()
         if task is not None:
@@ -618,7 +621,8 @@ class Scheduler(ABC):
     def fast_round(self, worker: "Worker"):
         """Collapse one provably-failed steal round into a single sleep.
 
-        Called by the worker loop *instead of* the steal scan +
+        Called by the worker loop *instead of* the round prefix
+        (:meth:`~repro.runtime.worker.Worker._steal_scan`) +
         :meth:`find_work_tail`, for every policy.  When every tier is empty
         and no other heap entry comes due before the round would end, the
         round is a fixed script — a known sequence of sleeps, counter

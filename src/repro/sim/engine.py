@@ -47,10 +47,13 @@ sharing one due time are drained under a single clock store, and
 :attr:`Environment.events_processed` counts every entry in the batch
 individually so events/sec stays comparable across kernels.
 
-The scheduler's probe-fail-park round is hoisted into
-:meth:`repro.sched.base.Scheduler.fast_round` (a vectorized victim scan
-over the flat columns); :meth:`Environment.sleep_at` is the kernel-side
-half of that contract.
+Those four kinds are all the loop dispatches: the kernel knows
+processes, events and parks, and no scheduling policy.  A worker's steal
+round is ordinary generator code resumed through ``K_RESUME`` (its
+prefix is :meth:`repro.runtime.worker.Worker._steal_scan`), and a
+provably failed round is collapsed by
+:meth:`repro.sched.base.Scheduler.fast_round` into one sleep;
+:meth:`Environment.sleep_at` is the kernel-side half of that contract.
 
 This is the only kernel.  The golden cells in
 ``tests/sim/golden_kernel_snapshots.json`` pin its snapshots, event counts
@@ -86,7 +89,6 @@ K_RESUME = 1  # resume a sleeping process
 K_EVENT = 2   # run a scheduled Event's callbacks
 K_HOP = 3     # park wake hop (two-hop child/composite pop stand-in)
 K_PROBE = 4   # park backoff-deadline probe
-K_SCAN = 5    # kernel-resident round step (see KernelRound)
 
 #: Cause column encoding: ``_pcause`` byte -> cause object (index 0 = None).
 _CAUSES: Tuple[Any, ...] = (None, CAUSE_DONE, CAUSE_WORK, CAUSE_TIMEOUT,
@@ -112,60 +114,6 @@ class _Sleep:
 
 
 _SLEEP = _Sleep()
-
-#: Returned (via ``_resolve``) by a :class:`KernelRound` whose covered
-#: tiers all came up empty: the owning generator continues with the
-#: policy-specific tail of the round in ordinary yielded-event style.
-SCAN_MISS = object()
-
-
-class KernelRound:
-    """A kernel-resident continuation for a worker's hot scheduling round.
-
-    The dominant event pattern in steal-heavy cells is a worker cycling
-    ``sleep -> probe a deque -> sleep -> probe`` many times per acquired
-    task.  Running that cycle through the generator machinery costs a
-    full resume chain (``Process._step_send`` -> nested ``yield from``
-    frames) per probe.  A ``KernelRound`` replaces the chain: the worker
-    yields the round object once, and the dispatch loop calls
-    :meth:`step` directly on each fired entry — the subclass re-arms the
-    next step or resolves the round back into the generator.
-
-    The contract with byte-identity: each armed entry consumes exactly
-    one sequence number at exactly the time a generator's ``sleep``
-    would have, and :meth:`step` performs exactly the side effects the
-    generator's resume would have performed, in the same order within
-    the same dispatch.  The round is therefore exact under
-    *any* event interleaving — unlike the collapsed
-    :meth:`~repro.sched.base.Scheduler.fast_round`, it needs no global
-    heap-quiescence guard.
-
-    Subclasses (e.g. the worker's steal scan) own the policy; this base
-    owns the handle plumbing.  The handle lives as long as its worker.
-    """
-
-    __slots__ = ("env", "proc", "_h")
-
-    def __init__(self, env: Environment, proc: "Process") -> None:
-        self.env = env
-        self.proc = proc
-        h = self._h = env._alloc()
-        env._kind[h] = K_SCAN
-        env._obj[h] = self
-
-    def _resolve(self, value: Any) -> None:
-        """Resume the owning generator with the round's outcome."""
-        proc = self.proc
-        proc._waiting_on = None
-        proc._step_send(value)
-
-    def cancel(self) -> None:
-        """Detach (the worker was interrupted); armed entries go stale."""
-        self.env._arm[self._h] = -1
-
-    def step(self) -> None:  # pragma: no cover - subclass responsibility
-        raise NotImplementedError
-
 
 class Environment:
     """Discrete-event execution environment with a deterministic clock."""
@@ -337,9 +285,6 @@ class Environment:
                 event.callbacks = None
                 for callback in callbacks:
                     callback(event)
-        elif k == K_SCAN:
-            if self._arm[h] == seq:
-                self._obj[h].step()
         elif k == K_HOP:
             if self._arm[h] == seq:
                 self._obj[h]._hop(due)
@@ -415,12 +360,7 @@ class Environment:
                 while True:
                     k = kind[h]
                     processed += 1
-                    if k == K_SCAN:
-                        # Tested first: steal-heavy cells arm several scan
-                        # steps per generator resume.
-                        if arm[h] == seq:
-                            obj[h].step()
-                    elif k == K_RESUME:
+                    if k == K_RESUME:
                         if arm[h] == seq:
                             arm[h] = -1
                             proc = obj[h]
@@ -649,8 +589,45 @@ class ParkRecord(object):
         return f"<ParkRecord {names[self.state]} round={self.round}>"
 
 
-#: Kernel-armed wait targets a process may yield.
-_KERNEL_WAITS = (ParkRecord, KernelRound)
+class ParkWaiters(list):
+    """Park records waiting on one wake source, woken with one cause.
+
+    A list of ``(record, round)`` entries, one appended per park
+    (:meth:`add`) rather than registered persistently, so :meth:`fire`
+    wakes simultaneously woken workers in the order they parked.  An
+    entry from an earlier park round is stale: :meth:`fire` skips it,
+    and :meth:`add` sweeps the stale entries once the list outgrows
+    twice the live count of the last sweep (at least 16), so the list
+    stays O(workers).  The place's work wakeup (``CAUSE_WORK``) and
+    the status board's surplus wakeup (``CAUSE_BOARD``) are the two
+    sources.
+    """
+
+    __slots__ = ("cause", "_compact_at")
+
+    def __init__(self, cause: Any) -> None:
+        super().__init__()
+        self.cause = cause
+        self._compact_at = 16
+
+    def add(self, record: ParkRecord) -> None:
+        """Register ``record`` for its current park round."""
+        self.append((record, record.round))
+        if len(self) > self._compact_at:
+            self[:] = [(rec, rnd) for rec, rnd in self
+                       if rec.round == rnd and rec.state == PARK_PARKED]
+            self._compact_at = max(16, 2 * len(self) + 8)
+
+    def fire(self) -> None:
+        """Wake every record still parked in its registered round."""
+        if not self:
+            return
+        entries = self[:]
+        self.clear()
+        cause = self.cause
+        for rec, rnd in entries:
+            if rec.round == rnd:
+                rec._fire(cause)
 
 
 class Process(Event):
@@ -708,7 +685,7 @@ class Process(Event):
                 # The pending sleep entry pops as a no-op.
                 self.env._arm[self._h] = -1
                 self._dirty = True
-            elif isinstance(target, _KERNEL_WAITS):
+            elif isinstance(target, ParkRecord):
                 target.cancel()
             elif not target.processed:
                 # Stop the pending resume; deliver the interrupt instead.
@@ -804,7 +781,7 @@ class Process(Event):
             self._waiting_on = target
             target.callbacks.append(self._resume_cb)
             return
-        if isinstance(target, _KERNEL_WAITS):
+        if isinstance(target, ParkRecord):
             self._waiting_on = target  # armed by the record's begin()
             return
         self.env._active_processes -= 1

@@ -518,3 +518,20 @@ class TestGracefulSignals:
         assert counts["pending"] == 1 and counts["leased"] == 0
         # and the attempt was refunded
         assert store.claim("w2", 5.0).attempt == 1
+
+    def test_interrupt_in_complete_releases_lease(self, tmp_path):
+        """An interrupt after the simulation, while ``complete`` encodes
+        the result, returns the cell too."""
+        store = make_store(tmp_path)
+        store.add_specs(grid_specs()[:1])
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        store.complete = interrupted
+        with pytest.raises(KeyboardInterrupt):
+            drain(store, heartbeat_seconds=0.2)
+        counts = store.counts()
+        assert counts["pending"] == 1 and counts["leased"] == 0
+        # and the attempt was refunded
+        assert store.claim("w2", 5.0).attempt == 1

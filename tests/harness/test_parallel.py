@@ -245,11 +245,13 @@ class TestStoreHelpers:
             pytest.skip("the probe reads helper liveness from /proc")
         probe = _interrupt_smoke().interrupt_sweep(
             str(tmp_path / "sweep.db"), parallel=2)
-        assert probe["exit_code"] == 130, probe["stderr"]
+        rows = f"rows at the signal {probe['at_signal']}, " \
+               f"at exit {probe['at_exit']}"
+        assert probe["exit_code"] == 130, (rows, probe["stderr"])
         assert probe["seconds"] < 5.0
         assert len(probe["helpers"]) == 1
         assert probe["alive"] == []
-        assert probe["leased"] == 0
+        assert probe["leased"] == 0, rows
 
 
 def _interrupt_smoke():

@@ -1,8 +1,8 @@
 """Handle lifecycle and reference-kernel equivalence for the kernel.
 
 The struct-of-arrays kernel keys every schedulable entity — process
-resumes, events, park hops, backoff probes, kernel-resident steal scans —
-by a small-integer handle recycled through a free-list.  These tests pin
+resumes, events, park hops, backoff probes — by a small-integer handle
+recycled through a free-list.  These tests pin
 the lifecycle invariants:
 
 - free-list exhaustion grows every column geometrically (never a cap);

@@ -18,8 +18,10 @@ match on three counts:
 The event counts and stream hashes were added while the object kernel
 and the generator steal-round prefix still existed and agreed with the
 flat kernel's kernel-resident scan on every cell, so they carry that
-cross-implementation verdict forward.  The faulted cells (a crash plan
-after the last ``|``) pin the kernel-resident scan under fault plans.
+cross-implementation verdict forward; the generator prefix that later
+replaced the scan (``Worker._steal_scan``) reproduces them unchanged.
+The faulted cells (a crash plan after the last ``|``) pin the round
+prefix under fault plans.
 
 The bounded-memory tests pin down the other half of the contract: the
 old kernel leaked one waiter ``Event`` per failed round per worker into
@@ -190,7 +192,7 @@ def test_collapsed_round_replays_observed_stream_exactly(key, knobs, interval,
 
 
 #: The replay cells, plus two with four workers a place: with a single
-#: co-located peer the steal scan never advances past its first probe.
+#: co-located peer the round prefix never advances past its first probe.
 #: The last two run on 8 places x 4 workers (8 threads a place) with a
 #: ChromeTraceSink beside the registry, the full stack a traced run
 #: attaches; X10WS on turing collapses most of its failed rounds.

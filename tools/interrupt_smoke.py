@@ -50,6 +50,21 @@ def _leased_pids(store_path: str) -> list:
     return [int(owner.split(":")[1]) for (owner,) in rows]
 
 
+def _status_counts(store_path: str) -> dict:
+    """Row count per status in the store (empty before the schema)."""
+    if not os.path.exists(store_path):
+        return {}
+    conn = sqlite3.connect(store_path, timeout=5.0)
+    try:
+        rows = conn.execute("SELECT status, COUNT(*) FROM experiments "
+                            "GROUP BY status").fetchall()
+    except sqlite3.OperationalError:  # schema not created yet
+        return {}
+    finally:
+        conn.close()
+    return dict(sorted(rows))
+
+
 def _alive(pid: int) -> bool:
     """Whether ``pid`` runs; a zombie nobody has reaped yet counts as
     dead."""
@@ -74,7 +89,10 @@ def interrupt_sweep(store_path: str, parallel: int,
     Returns ``exit_code`` (``None`` if it outlived ``exit_timeout``),
     ``seconds`` from the signal to its exit, the ``helpers``' pids,
     those still ``alive`` afterwards, the number of rows still
-    ``leased`` and the coordinator's ``stderr``.
+    ``leased``, the store's row count per status just before the
+    signal (``at_signal``) and after the exit (``at_exit``), and the
+    coordinator's ``stderr``.  An exit code of 0 with no open row at
+    exit means the sweep finished before the signal could stop it.
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -95,6 +113,7 @@ def interrupt_sweep(store_path: str, parallel: int,
                     f"the sweep never had {parallel} cells in flight "
                     f"(exit code {proc.poll()})")
             time.sleep(0.05)
+        at_signal = _status_counts(store_path)
         t0 = time.monotonic()
         proc.send_signal(signal.SIGTERM)
         try:
@@ -110,7 +129,9 @@ def interrupt_sweep(store_path: str, parallel: int,
     helpers = sorted(set(pids) - {proc.pid})
     return {"exit_code": code, "seconds": seconds, "helpers": helpers,
             "alive": [pid for pid in helpers if _alive(pid)],
-            "leased": len(_leased_pids(store_path)), "stderr": err}
+            "leased": len(_leased_pids(store_path)),
+            "at_signal": at_signal, "at_exit": _status_counts(store_path),
+            "stderr": err}
 
 
 def main(argv=None) -> int:
@@ -139,6 +160,8 @@ def main(argv=None) -> int:
     for line in problems:
         print(f"FAIL: {line}", file=sys.stderr)
     if problems:
+        print(f"store rows at the signal {probe['at_signal']}, "
+              f"at exit {probe['at_exit']}", file=sys.stderr)
         print(probe["stderr"], file=sys.stderr)
         return 1
     print("OK")
