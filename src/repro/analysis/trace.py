@@ -74,12 +74,6 @@ class Trace:
     def by_id(self) -> Dict[int, TaskRecord]:
         return {t.task_id: t for t in self.tasks}
 
-    def children_index(self) -> Dict[Optional[int], List[TaskRecord]]:
-        idx: Dict[Optional[int], List[TaskRecord]] = {}
-        for t in self.tasks:
-            idx.setdefault(t.parent_id, []).append(t)
-        return idx
-
     def place_busy_profile(self, buckets: int = 40) -> List[List[float]]:
         """Per-place fraction of workers busy, over ``buckets`` windows."""
         if buckets < 1:

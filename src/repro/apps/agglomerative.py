@@ -19,6 +19,12 @@ Validation: the sequential oracle runs the identical regionalised
 algorithm (same partition, same deterministic tie-breaking) and must match
 bit-exactly; with one region the algorithm degenerates to the classic
 sequential agglomerative clustering.
+
+Because that oracle calls the same :func:`agglomerate` kernel, it cannot
+see a change in the kernel itself.  The kernel keeps one distance matrix
+across merges instead of rebuilding it per merge, and is pinned byte for
+byte to the rebuild-per-merge loop it replaced, kept as the oracle in
+``tests/apps/reference_app_kernels.py``.
 """
 
 from __future__ import annotations
@@ -40,26 +46,36 @@ def agglomerate(centroids: np.ndarray, weights: np.ndarray,
 
     Deterministic: ties break on the lexicographically smallest index
     pair.  Returns (centroids, weights, merge_distances).
+
+    One squared-distance matrix lives across the merges: merging ``j``
+    into ``i`` deletes row and column ``j`` and recomputes row and
+    column ``i`` with the same expression, so the matrix always equals
+    the one a full rebuild would give, entry for entry and bit for bit.
     """
-    cents = [c.astype(float).copy() for c in centroids]
+    arr = np.array([c.astype(float) for c in centroids])
     ws = [float(w) for w in weights]
     merges: List[float] = []
-    while len(cents) > until:
-        arr = np.array(cents)
-        d2 = ((arr[:, None, :] - arr[None, :, :]) ** 2).sum(axis=2)
-        np.fill_diagonal(d2, np.inf)
+    if len(ws) <= until:
+        return arr, np.array(ws), merges
+    d2 = ((arr[:, None, :] - arr[None, :, :]) ** 2).sum(axis=2)
+    np.fill_diagonal(d2, np.inf)
+    while len(ws) > until:
         flat = int(np.argmin(d2))
-        i, j = divmod(flat, len(cents))
+        i, j = divmod(flat, len(ws))
         if i > j:
             i, j = j, i
         merges.append(float(np.sqrt(d2[i, j])))
         wi, wj = ws[i], ws[j]
-        merged = (cents[i] * wi + cents[j] * wj) / (wi + wj)
-        cents[i] = merged
+        arr[i] = (arr[i] * wi + arr[j] * wj) / (wi + wj)
         ws[i] = wi + wj
-        del cents[j]
         del ws[j]
-    return np.array(cents), np.array(ws), merges
+        arr = np.delete(arr, j, axis=0)
+        d2 = np.delete(np.delete(d2, j, axis=0), j, axis=1)
+        row = ((arr[i] - arr) ** 2).sum(axis=1)
+        row[i] = np.inf
+        d2[i] = row
+        d2[:, i] = row
+    return arr, np.array(ws), merges
 
 
 class AgglomerativeApp(Application):

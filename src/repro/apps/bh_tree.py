@@ -6,10 +6,20 @@ internal nodes carry mass and centre-of-mass aggregates.  The
 criterion and also returns the number of interactions it evaluated, which
 the n-body application uses both as the simulated-work measure and as the
 irregularity signal (dense regions ⇒ deeper traversals ⇒ costlier tasks).
+
+:func:`force_on` is the n-body app's hot loop, so it runs on plain Python
+floats: per-body coordinates and masses are read from lists, and
+``math.sqrt`` replaces ``np.sqrt`` on ``np.float64`` scalars.  The stack
+order, the node visit order and the order and association of every
+``+``, ``*``, ``/`` and ``sqrt`` are those of the numpy-scalar loop it
+replaced, and IEEE arithmetic on C doubles rounds the same either way,
+so every force and interaction count is bit-identical to it.
+``tests/apps/reference_app_kernels.py`` keeps that loop as the oracle.
 """
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -54,7 +64,14 @@ class QuadNode:
 
 
 class QuadTree:
-    """Barnes-Hut quadtree with mass aggregates."""
+    """Barnes-Hut quadtree with mass aggregates.
+
+    The tree is a snapshot of the bodies at construction: it copies
+    ``positions`` and ``masses``, and both the aggregates and
+    :meth:`force_on` read only that copy.  A caller may therefore
+    update its own arrays in place (as n-body's integration step does)
+    without changing what an existing tree answers.
+    """
 
     def __init__(self, positions: np.ndarray, masses: np.ndarray,
                  leaf_capacity: int = 8, max_depth: int = 48) -> None:
@@ -64,8 +81,11 @@ class QuadTree:
             raise AppError("positions and masses must align")
         if len(positions) == 0:
             raise AppError("QuadTree needs at least one body")
-        self.positions = positions
-        self.masses = masses
+        self.positions = positions.copy()
+        self.masses = masses.copy()
+        self._xs: List[float] = self.positions[:, 0].tolist()
+        self._ys: List[float] = self.positions[:, 1].tolist()
+        self._ms: List[float] = self.masses.tolist()
         self.leaf_capacity = leaf_capacity
         self.max_depth = max_depth
         lo = positions.min(axis=0)
@@ -127,38 +147,45 @@ class QuadTree:
     # -- queries ------------------------------------------------------------
     def force_on(self, i: int, theta: float = 0.5) -> Tuple[float, float, int]:
         """Force on body ``i`` and the number of interactions evaluated."""
-        px, py = self.positions[i]
+        xs, ys, ms = self._xs, self._ys, self._ms
+        sqrt = math.sqrt
+        px = xs[i]
+        py = ys[i]
         fx = fy = 0.0
         interactions = 0
+        open2 = theta * theta
         stack = [self.root]
+        pop = stack.pop
+        push = stack.append
         while stack:
-            node = stack.pop()
+            node = pop()
             if node.mass <= 0.0:
                 continue
             dx = node.com_x - px
             dy = node.com_y - py
             dist2 = dx * dx + dy * dy + SOFTENING2
-            if node.is_leaf:
+            children = node.children
+            if children is None:
                 for j in node.bodies:
                     if j == i:
                         continue
-                    bx = self.positions[j, 0] - px
-                    by = self.positions[j, 1] - py
+                    bx = xs[j] - px
+                    by = ys[j] - py
                     d2 = bx * bx + by * by + SOFTENING2
-                    inv = self.masses[j] / (d2 * np.sqrt(d2))
+                    inv = ms[j] / (d2 * sqrt(d2))
                     fx += bx * inv
                     fy += by * inv
                     interactions += 1
                 continue
-            if (2 * node.half) ** 2 < theta * theta * dist2:
-                inv = node.mass / (dist2 * np.sqrt(dist2))
+            if (2 * node.half) ** 2 < open2 * dist2:
+                inv = node.mass / (dist2 * sqrt(dist2))
                 fx += dx * inv
                 fy += dy * inv
                 interactions += 1
             else:
-                for child in node.children:
+                for child in children:
                     if child is not None:
-                        stack.append(child)
+                        push(child)
         return fx, fy, interactions
 
 

@@ -180,13 +180,6 @@ class DelaunayMesh:
         return new_ids
 
     # -- final views -----------------------------------------------------------
-    def real_triangles(self) -> List[Tri]:
-        """Triangles not touching the super-triangle, sorted."""
-        sv = set(self.super_vertices)
-        out = [tuple(sorted(t)) for t in self.triangles.values()
-               if not (set(t) & sv)]
-        return sorted(out)  # type: ignore[return-value]
-
     def interior_tids(self) -> List[int]:
         """Ids of triangles not touching the super-triangle."""
         sv = set(self.super_vertices)

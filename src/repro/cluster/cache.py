@@ -54,11 +54,6 @@ class LruCache:
         """Number of distinct blocks resident (not lines)."""
         return len(self._entries)
 
-    @property
-    def used_lines(self) -> int:
-        """Total lines currently occupied."""
-        return self._weight
-
     def __contains__(self, block_id: int) -> bool:
         return block_id in self._entries
 

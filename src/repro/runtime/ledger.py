@@ -99,15 +99,6 @@ class TaskLedger:
         """Total loss events, counting a twice-lost task twice."""
         return sum(self._losses.values())
 
-    @property
-    def reexecuted_count(self) -> int:
-        """Distinct lost tasks re-executed by survivors."""
-        return len(self._reexecutions)
-
-    def pending_lost(self) -> Set[int]:
-        """Lost task ids that have not completed yet."""
-        return {tid for tid in self._losses if not self._executed[tid]}
-
     def assert_work_conserved(self) -> None:
         """Every spawned task executed exactly once, or raise FaultError."""
         never_ran = [tid for tid in self._spawned if not self._executed[tid]]

@@ -56,6 +56,17 @@ class TestQuadTree:
         scale = np.abs(direct).max()
         assert np.abs(bh - direct).max() / scale < 0.05
 
+    def test_tree_answers_from_its_construction_snapshot(self):
+        """Updating the caller's arrays in place, as n-body's
+        integration step does, leaves an existing tree's answers
+        unchanged."""
+        tree, pos, masses = self.make(n=120)
+        before = [tree.force_on(i, 0.5) for i in range(120)]
+        pos += 3.0
+        pos[::2] *= -1.5
+        masses[:] = 7.0
+        assert [tree.force_on(i, 0.5) for i in range(120)] == before
+
     def test_larger_theta_fewer_interactions(self):
         tree, _, _ = self.make(n=400)
         exact = sum(tree.force_on(i, 0.0)[2] for i in range(50))
