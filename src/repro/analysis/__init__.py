@@ -3,7 +3,6 @@
 from repro.analysis.critical_path import CriticalPath, critical_path
 from repro.analysis.fleet_report import sweep_report_html, write_report
 from repro.analysis.report import (
-    experiment_to_csv,
     experiment_to_json,
     trace_to_json,
 )
@@ -16,7 +15,7 @@ from repro.analysis.theory import (
     fit_latency_model,
     run_theory_sweep,
 )
-from repro.analysis.timeline import place_timeline, steal_flow, worker_occupancy
+from repro.analysis.timeline import place_timeline, steal_flow
 from repro.analysis.trace import TaskRecord, Trace, TraceRecorder
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "Trace",
     "TraceRecorder",
     "critical_path",
-    "experiment_to_csv",
     "experiment_to_json",
     "fit_latency_model",
     "grouped_bar_chart",
@@ -39,6 +37,5 @@ __all__ = [
     "steal_flow",
     "sweep_report_html",
     "trace_to_json",
-    "worker_occupancy",
     "write_report",
 ]

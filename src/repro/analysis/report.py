@@ -1,6 +1,6 @@
 """Machine-readable exports of runs and experiment outputs.
 
-JSON and CSV writers for :class:`~repro.harness.paper.ExperimentOutput`
+JSON writers for :class:`~repro.harness.paper.ExperimentOutput`
 and traces — so results can be archived, diffed across commits, or
 plotted elsewhere.  A run's statistics have one serialization,
 :meth:`~repro.runtime.stats.RunStats.snapshot`.
@@ -8,8 +8,6 @@ plotted elsewhere.  A run's statistics have one serialization,
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from typing import Optional
 
@@ -25,16 +23,6 @@ def experiment_to_json(out: ExperimentOutput,
         "headers": out.headers,
         "rows": out.rows,
     }, indent=indent, sort_keys=True)
-
-
-def experiment_to_csv(out: ExperimentOutput) -> str:
-    """CSV text (header + rows) of one paper artifact."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(out.headers)
-    for row in out.rows:
-        writer.writerow(row)
-    return buf.getvalue()
 
 
 def trace_to_json(trace: Trace, indent: Optional[int] = None) -> str:

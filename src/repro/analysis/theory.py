@@ -161,14 +161,6 @@ class TheoryReport:
     scale: str = "test"
     sched_seeds: Tuple[int, ...] = ()
 
-    def fit_for(self, scheduler: str, app: str) -> LatencyFit:
-        for f in self.fits:
-            if f.scheduler == scheduler and f.app == app:
-                return f
-        raise ConfigError(
-            f"no fit for {scheduler!r} x {app!r}; have "
-            f"{[(f.scheduler, f.app) for f in self.fits]}")
-
     @property
     def apps(self) -> List[str]:
         seen: List[str] = []

@@ -59,33 +59,3 @@ def steal_flow(trace: Trace, title: str = "") -> str:
     out.append(f"total tasks executed away from home: {total}")
     return "\n".join(out)
 
-
-def worker_occupancy(trace: Trace, place: int,
-                     width: int = 72) -> str:
-    """Per-worker lanes for one place (1 row per worker)."""
-    if not (0 <= place < trace.n_places):
-        raise ConfigError(f"no such place: {place}")
-    if width < 8:
-        raise ConfigError("width must be >= 8")
-    if trace.makespan <= 0:
-        return "(empty trace)"
-    lanes: dict[int, List[float]] = {
-        w: [0.0] * width for w in range(trace.workers_per_place)}
-    bucket = trace.makespan / width
-    for rec in trace.tasks:
-        if rec.exec_place != place or rec.worker is None:
-            continue
-        first = int(rec.start_time // bucket)
-        last = int(min(rec.end_time, trace.makespan - 1e-9) // bucket)
-        for b in range(first, min(last + 1, width)):
-            lo = max(rec.start_time, b * bucket)
-            hi = min(rec.end_time, (b + 1) * bucket)
-            lanes[rec.worker][b] += max(0.0, hi - lo)
-    out = [f"place {place} worker lanes:"]
-    for w in range(trace.workers_per_place):
-        cells = "".join(
-            _SHADES[min(len(_SHADES) - 1,
-                        int(v / bucket * (len(_SHADES) - 1) + 0.5))]
-            for v in lanes[w])
-        out.append(f" w{w} |{cells}|")
-    return "\n".join(out)

@@ -50,11 +50,6 @@ class TaskRecord:
         """Simulated execution duration (work + priced effects)."""
         return self.end_time - self.start_time
 
-    @property
-    def queue_delay(self) -> float:
-        """Time between spawn and execution start."""
-        return self.start_time - self.spawn_time
-
 
 @dataclass
 class Trace:

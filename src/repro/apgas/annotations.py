@@ -23,7 +23,10 @@ _MARK = "_repro_any_place_task"
 
 
 def any_place_task(body: Callable) -> Callable:
-    """Mark ``body`` as locality-flexible (the ``@AnyPlaceTask`` hint)."""
+    """Mark ``body`` as locality-flexible (the ``@AnyPlaceTask`` hint).
+
+    Kept: public API that README documents for user programs.
+    """
     setattr(body, _MARK, True)
     return body
 

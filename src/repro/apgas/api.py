@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence
 
 from repro.cluster.memory import DataBlock
-from repro.errors import ConfigError
 from repro.runtime.finish import FinishScope
 from repro.runtime.runtime import SimRuntime
 from repro.runtime.task import Task, TaskContext
@@ -44,16 +43,6 @@ class Apgas:
     def places(self) -> range:
         """Iterable of place ids (X10's ``Place.places()``)."""
         return range(self.n_places)
-
-    def place_of(self, index: int, n_items: int) -> int:
-        """Home place of item ``index`` under a block distribution."""
-        if not (0 <= index < n_items):
-            raise ConfigError(f"index {index} outside 0..{n_items - 1}")
-        from repro.cluster.memory import block_distribution
-        for p, chunk in enumerate(block_distribution(n_items, self.n_places)):
-            if index in chunk:
-                return p
-        raise AssertionError("unreachable")  # pragma: no cover
 
     # -- memory ----------------------------------------------------------------
     def alloc(self, place: int, nbytes: int, label: str = "") -> DataBlock:

@@ -10,7 +10,7 @@ about when deciding which tasks are locality-flexible (§III).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -66,15 +66,6 @@ class DistArray:
     def __len__(self) -> int:
         return len(self.data)
 
-    def place_of(self, index: int) -> int:
-        """Home place of element ``index``."""
-        if not (0 <= index < len(self.data)):
-            raise ConfigError(f"index {index} outside the array")
-        for p, chunk in enumerate(self.chunks):
-            if chunk.start <= index < chunk.stop:
-                return p
-        raise AssertionError("unreachable")  # pragma: no cover
-
     def chunk_of(self, place: int) -> range:
         """Index range homed at ``place``."""
         if not (0 <= place < len(self.chunks)):
@@ -86,14 +77,6 @@ class DistArray:
         if not (0 <= place < len(self.blocks)):
             raise ConfigError(f"no such place: {place}")
         return self.blocks[place]
-
-    def blocks_for(self, indices: Sequence[int]) -> List[DataBlock]:
-        """De-duplicated blocks covering ``indices``."""
-        seen: dict[int, DataBlock] = {}
-        for i in indices:
-            b = self.block_of(self.place_of(i))
-            seen.setdefault(b.block_id, b)
-        return list(seen.values())
 
     # -- data access (real values; pricing is declared on tasks) -----------------
     def __getitem__(self, index):

@@ -16,7 +16,10 @@ T = TypeVar("T")
 
 
 class PlaceLocalHandle(Generic[T]):
-    """Per-place storage resolved by place id."""
+    """Per-place storage resolved by place id.
+
+    Kept: public API that README documents for user programs.
+    """
 
     def __init__(self, n_places: int,
                  factory: Optional[Callable[[int], T]] = None) -> None:
@@ -41,11 +44,6 @@ class PlaceLocalHandle(Generic[T]):
         """Store ``value`` at ``place``."""
         self._check(place)
         self._slots[place] = value
-
-    def has(self, place: int) -> bool:
-        """Whether the handle holds a value at ``place``."""
-        self._check(place)
-        return place in self._slots
 
     def items(self) -> Iterator[Tuple[int, T]]:
         """Iterate ``(place, value)`` pairs in place order."""

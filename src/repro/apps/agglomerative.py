@@ -169,11 +169,6 @@ class AgglomerativeApp(Application):
             sets.append((c, w))
         return self._tree_reduce(sets)
 
-    def sequential_classic(self):
-        """Classic single-region agglomeration (for cross-checks)."""
-        c, w, _ = agglomerate(self._points, np.ones(self.n), self.k)
-        return c, w
-
     # -- parallel program -----------------------------------------------------
     def build(self, apgas: Apgas) -> None:
         ap = apgas

@@ -9,7 +9,7 @@ meaningful.
 from __future__ import annotations
 
 import math
-from typing import Sequence, Tuple
+from typing import Tuple
 
 Point = Tuple[float, float]
 
@@ -81,8 +81,3 @@ def point_in_triangle(p: Point, a: Point, b: Point, c: Point) -> bool:
     return (orient2d(a, b, p) >= eps and orient2d(b, c, p) >= eps
             and orient2d(c, a, p) >= eps)
 
-
-def centroid(points: Sequence[Point]) -> Point:
-    """Arithmetic mean of a point set."""
-    n = len(points)
-    return (sum(p[0] for p in points) / n, sum(p[1] for p in points) / n)

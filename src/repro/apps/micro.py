@@ -132,11 +132,6 @@ class MonteCarloPiMicro(_MicroApp):
         xy = rng.uniform(size=(64, 2))
         return int(((xy ** 2).sum(axis=1) <= 1.0).sum())
 
-    def pi_estimate(self) -> float:
-        """Combined π estimate from all task samples."""
-        hits = sum(self.result().values())
-        return 4.0 * hits / (self.n_tasks * 64)
-
 
 class MatrixChainMicro(_MicroApp):
     """Matrix chain multiplication (DP table blocks), 0.09 ms tasks."""

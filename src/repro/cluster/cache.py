@@ -28,16 +28,6 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
 
-    @property
-    def accesses(self) -> int:
-        """Total lines looked up."""
-        return self.hits + self.misses
-
-    @property
-    def miss_rate(self) -> float:
-        """Misses / accesses, 0.0 when no accesses happened."""
-        return self.misses / self.accesses if self.accesses else 0.0
-
 
 class LruCache:
     """A fixed-capacity (in lines) LRU set of weighted data blocks."""
@@ -91,10 +81,6 @@ class LruCache:
         """Empty the cache, keeping statistics."""
         self._entries.clear()
         self._weight = 0
-
-    def resident_blocks(self) -> list[int]:
-        """Blocks currently cached, LRU-first."""
-        return list(self._entries.keys())
 
     # -- internals ------------------------------------------------------------
     def _clamp(self, weight: int) -> int:

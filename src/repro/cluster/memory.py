@@ -78,12 +78,11 @@ class MemoryManager:
             raise PlacementError(f"unknown block id {block_id}") from None
 
     def replicas(self, block: DataBlock) -> Set[int]:
-        """Places currently holding a copy of ``block``."""
-        return set(self._replicas[block.block_id])
+        """Places currently holding a copy of ``block``.
 
-    def has_copy(self, block: DataBlock, place: int) -> bool:
-        """Whether ``place`` holds a copy of ``block``."""
-        return place in self._replicas[block.block_id]
+        Kept: the read-only view of placement that migration tests observe.
+        """
+        return set(self._replicas[block.block_id])
 
     # -- access pricing -------------------------------------------------------
     def access(self, place: int, cache: Optional[LruCache],
@@ -143,15 +142,6 @@ class MemoryManager:
             warm_cache.warm(block.block_id, self.costs.block_lines(block.nbytes))
         return latency
 
-    def drop_replica(self, block: DataBlock, place: int) -> None:
-        """Discard ``place``'s replica (never the home copy).
-
-        Used after a *non-encapsulating* task executed remotely: the data
-        it dragged over was a one-shot copy, not a persistent replica.
-        """
-        if place != block.home_place:
-            self._replicas[block.block_id].discard(place)
-
     def copy_back(self, block: DataBlock, src_place: int) -> float:
         """Ship ``block``'s contents from ``src_place`` back to its home.
 
@@ -163,10 +153,6 @@ class MemoryManager:
             return 0.0
         return self.network.send(
             src_place, block.home_place, block.nbytes, MSG_RESULT_COPYBACK)
-
-    def invalidate_replicas(self, block: DataBlock) -> None:
-        """Drop all replicas except the home copy (block was mutated at home)."""
-        self._replicas[block.block_id] = {block.home_place}
 
     # -- internals ------------------------------------------------------------
     def _nearest_replica(self, block: DataBlock, place: int) -> int:

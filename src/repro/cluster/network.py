@@ -180,20 +180,3 @@ class Network:
                 "src": src, "dst": dst, "kind": kind, "bytes": nbytes,
                 "packets": packets, "latency": total})
         return total
-
-    def round_trip(self, src: int, dst: int, request_bytes: int,
-                   reply_bytes: int, kind_prefix: str = "steal") -> float:
-        """Price a request/reply exchange (two messages)."""
-        if kind_prefix == "steal":
-            out = self.send(src, dst, request_bytes, MSG_STEAL_REQUEST)
-            back = self.send(dst, src, reply_bytes, MSG_STEAL_REPLY)
-        else:
-            out = self.send(src, dst, request_bytes, MSG_REMOTE_REF)
-            back = self.send(dst, src, reply_bytes, MSG_REMOTE_REF)
-        return out + back
-
-    def reset(self) -> None:
-        """Clear counters and NIC state (between benchmark repetitions)."""
-        self.stats = NetworkStats()
-        self._send_free.clear()
-        self._recv_free.clear()

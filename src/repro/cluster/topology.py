@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.errors import ConfigError
 
@@ -57,12 +57,6 @@ class ClusterSpec:
     def place_ids(self) -> range:
         """Iterable of place ids ``0..n_places-1``."""
         return range(self.n_places)
-
-    def worker_ids(self) -> Iterator[Tuple[int, int]]:
-        """Iterate ``(place_id, local_worker_index)`` pairs."""
-        for p in self.place_ids():
-            for w in range(self.workers_per_place):
-                yield (p, w)
 
     def hop_distance(self, src: int, dst: int) -> int:
         """Number of network hops between two places."""

@@ -232,10 +232,6 @@ class EventBus:
         finally:
             self._sampling = False
 
-    def outstanding_steals(self, place_id: int) -> int:
-        """Unresolved distributed steal requests issued by ``place_id``."""
-        return len(self._outstanding.get(place_id, ()))
-
     # -- run end -----------------------------------------------------------
     def snapshot(self) -> Dict[str, object]:
         """Deterministic summary merged into ``RunStats.snapshot()["obs"]``.

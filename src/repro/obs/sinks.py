@@ -63,7 +63,10 @@ class Sink:
 
 
 class InMemorySink(Sink):
-    """Collects every event in order (tests and interactive use)."""
+    """Collects every event in order (tests and interactive use).
+
+    Kept: the test fake that the event-tally oracles subscribe.
+    """
 
     def __init__(self) -> None:
         self.events: List["ObsEvent"] = []

@@ -106,10 +106,6 @@ class PrivateDeque:
                     place._n_spare += 1
         return task
 
-    def peek_oldest(self) -> Optional[Task]:
-        """Oldest task without removing it (used by place-load queries)."""
-        return self._items[0] if self._items else None
-
 
 class SharedDeque:
     """The per-place FIFO deque of locality-flexible tasks.

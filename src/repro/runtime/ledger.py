@@ -89,16 +89,6 @@ class TaskLedger:
                 "(exactly-once violation)")
 
     # -- queries -----------------------------------------------------------
-    @property
-    def lost_count(self) -> int:
-        """Distinct tasks lost to crashes (not loss events)."""
-        return len(self._losses)
-
-    @property
-    def loss_events(self) -> int:
-        """Total loss events, counting a twice-lost task twice."""
-        return sum(self._losses.values())
-
     def assert_work_conserved(self) -> None:
         """Every spawned task executed exactly once, or raise FaultError."""
         never_ran = [tid for tid in self._spawned if not self._executed[tid]]

@@ -90,10 +90,6 @@ class Place:
         """
         return self._n_spare
 
-    def is_idle(self) -> bool:
-        """No running activities — every worker is searching or stopped."""
-        return self.running_activities == 0
-
     def is_under_utilized(self) -> bool:
         """Room for additional parallel computation (``size < max_threads``)."""
         return self.size() < self.spec.max_threads
@@ -150,11 +146,6 @@ class Place:
             return best.deque
         self._rr_cursor = (self._rr_cursor + 1) % self.n_workers
         return self.workers[self._rr_cursor].deque
-
-    def least_loaded_deque(self) -> PrivateDeque:
-        """Private deque with the fewest queued tasks."""
-        best = min(self.workers, key=lambda w: (len(w.deque), w.worker_index))
-        return best.deque
 
     def __repr__(self) -> str:  # pragma: no cover
         state = " DEAD" if self.dead else ""

@@ -20,7 +20,7 @@ what the lifeline mechanism exists to repair.
 
 from __future__ import annotations
 
-from typing import List, Set
+from typing import Set
 
 from repro.sim.engine import CAUSE_BOARD, Environment, ParkWaiters
 
@@ -68,7 +68,3 @@ class StatusBoard:
             if p != exclude:
                 return True
         return False
-
-    def surplus_places(self, exclude: int) -> List[int]:
-        """Advertising places other than ``exclude``, id-sorted."""
-        return sorted(p for p in self._surplus if p != exclude)

@@ -59,7 +59,10 @@ _task_ids = itertools.count()
 
 
 def _reset_task_ids() -> None:
-    """Restart the global id counter (test isolation only)."""
+    """Restart the global id counter.
+
+    Kept: test-isolation hook for tests that compare task ids across runs.
+    """
     global _task_ids
     _task_ids = itertools.count()
 

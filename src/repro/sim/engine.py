@@ -55,11 +55,14 @@ provably failed round is collapsed by
 :meth:`repro.sched.base.Scheduler.fast_round` into one sleep;
 :meth:`Environment.sleep_at` is the kernel-side half of that contract.
 
-This is the only kernel.  The golden cells in
+This is the only kernel, and :meth:`Environment.run` is its only
+dispatch loop.  The golden cells in
 ``tests/sim/golden_kernel_snapshots.json`` pin its snapshots, event counts
-and observer streams, and ``tests/sim/reference_kernel.py`` keeps the
+and observer streams; ``tests/sim/reference_kernel.py`` keeps the
 earlier object-record kernel as the reference for the interleaving
-properties in ``tests/sim/test_handles.py``.  See DESIGN.md §17.
+properties in ``tests/sim/test_handles.py``, and
+``tests/sim/stepped_kernel.py`` replays whole runs one heap pop at a time
+over these columns to check the batched loop.  See DESIGN.md §17.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ import heapq
 from typing import Any, Generator, List, Optional, Tuple
 
 from repro.errors import DeadlockError, SimulationError
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.events import AnyOf, Event, Timeout
 
 #: Park wake causes, compared by identity in the worker loop (the fast
 #: equivalent of comparing which child event won the legacy ``AnyOf``).
@@ -165,13 +168,6 @@ class Environment:
             free = self._free
         return free.pop()
 
-    def _release(self, handle: int) -> None:
-        """Return ``handle`` to the free-list; stale entries pop as no-ops."""
-        self._kind[handle] = K_FREE
-        self._obj[handle] = None
-        self._arm[handle] = -1
-        self._free.append(handle)
-
     def _retire(self, proc: "Process") -> None:
         """Release a finished process's handle.
 
@@ -259,48 +255,11 @@ class Environment:
         """Composite event triggering on the first of ``events``."""
         return AnyOf(self, events)
 
-    def all_of(self, events: List[Event]) -> AllOf:
-        """Composite event triggering when all ``events`` have triggered."""
-        return AllOf(self, events)
-
     def process(self, generator: Generator[Event, Any, Any]) -> "Process":
         """Start a simulated process from ``generator``."""
         return Process(self, generator)
 
     # -- main loop ------------------------------------------------------------
-    def _dispatch(self, seq: int, h: int, due: float) -> None:
-        """Dispatch one popped entry (the cold, shared copy of the run loop)."""
-        k = self._kind[h]
-        if k == K_RESUME:
-            if self._arm[h] == seq:
-                self._arm[h] = -1
-                proc = self._obj[h]
-                proc._waiting_on = None
-                proc._step_send(None)
-        elif k == K_EVENT:
-            if self._arm[h] == seq:
-                event = self._obj[h]
-                self._release(h)
-                callbacks = event.callbacks
-                event.callbacks = None
-                for callback in callbacks:
-                    callback(event)
-        elif k == K_HOP:
-            if self._arm[h] == seq:
-                self._obj[h]._hop(due)
-        elif k == K_PROBE:
-            self._obj[h]._probe_pop(seq)
-        # K_FREE: a stale entry for a recycled handle — skip.
-
-    def step(self) -> None:
-        """Process the single next entry in the heap."""
-        if not self._queue:
-            raise SimulationError("step() on an empty event queue")
-        due, seq, h = heapq.heappop(self._queue)
-        self._now = due
-        self.events_processed += 1
-        self._dispatch(seq, h, due)
-
     def run(self, until: Optional[Event | float] = None) -> Any:
         """Run the simulation.
 
@@ -327,8 +286,8 @@ class Environment:
             if stop_time < self._now:
                 raise SimulationError("until lies in the past")
 
-        # The hot loop below is _dispatch() inlined with the loop-invariant
-        # column lookups hoisted (the columns are mutated in place by
+        # This loop is the kernel's only dispatch code; the loop-invariant
+        # column lookups are hoisted (the columns are mutated in place by
         # _grow(), never rebound, so hoisting is safe).  Entries sharing one
         # due time drain as a batch under a single clock store: the batch is
         # discovered opportunistically after each dispatch by one peek at
@@ -537,23 +496,6 @@ class ParkRecord(object):
         env._arm[h] = -1
 
     # -- kernel callbacks -----------------------------------------------------
-    def _hop(self, due: float) -> None:
-        """An armed wake-hop entry popped (cold path; run() inlines this)."""
-        env = self.env
-        h = self._h
-        st = env._pstate[h]
-        if st == PARK_WAKING:
-            env._pstate[h] = PARK_RESUMING
-            env._seq += 1
-            env._arm[h] = env._seq
-            heapq.heappush(env._queue, (due, env._seq, h))
-        elif st == PARK_RESUMING:
-            env._pstate[h] = PARK_IDLE
-            env._arm[h] = -1
-            proc = self.process
-            proc._waiting_on = None
-            proc._step_send(_CAUSES[env._pcause[h]])
-
     def _probe_pop(self, seq: int) -> None:
         """A probe entry popped: fire the deadline or re-arm a stale probe.
 

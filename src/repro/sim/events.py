@@ -159,36 +159,3 @@ class AnyOf(Event):
             self.succeed(ev)
         else:
             self.fail(ev._value)
-
-
-class AllOf(Event):
-    """Triggers when all of ``events`` have occurred successfully."""
-
-    __slots__ = ("events", "_remaining")
-
-    def __init__(self, env: "Environment", events: List[Event]) -> None:
-        super().__init__(env)
-        self.events = list(events)
-        self._remaining = 0
-        failed = None
-        for ev in self.events:
-            if ev.processed:
-                if not ev._ok and failed is None:
-                    failed = ev._value
-                continue
-            self._remaining += 1
-            ev.add_callback(self._arrived)
-        if failed is not None:
-            self.fail(failed)
-        elif self._remaining == 0:
-            self.succeed([ev.value for ev in self.events])
-
-    def _arrived(self, ev: Event) -> None:
-        if self.triggered:
-            return
-        if not ev._ok:
-            self.fail(ev._value)
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.succeed([e.value for e in self.events if e.processed])

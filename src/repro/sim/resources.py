@@ -50,17 +50,6 @@ class SimLock:
         """Whether the lock is currently held."""
         return self._locked
 
-    @property
-    def queue_length(self) -> int:
-        """Number of *live* processes currently waiting for the lock.
-
-        Waiters abandoned by an interrupted process (a crashed place's
-        thief) no longer represent demand: :meth:`release` will skip them,
-        so counting them would drift contention metrics upward after every
-        crash.
-        """
-        return sum(1 for ev in self._waiters if not ev._abandoned)
-
     def acquire(self) -> Event:
         """Return an event that triggers once the caller holds the lock."""
         ev = Event(self.env)

@@ -44,7 +44,3 @@ class RngStreams:
             gen = np.random.default_rng(derive_seed(self.root_seed, *names))
             self._cache[key] = gen
         return gen
-
-    def fresh(self, *names: object) -> np.random.Generator:
-        """Return a brand-new generator for the path (no caching)."""
-        return np.random.default_rng(derive_seed(self.root_seed, *names))

@@ -100,18 +100,6 @@ class ParamSpace:
             f"known: {[k.name for k in self.knobs]}")
 
     # -- configurations ----------------------------------------------------
-    def validate_config(self, config: Dict[str, object]) -> Dict[str, object]:
-        """Validate a ``{knob: value}`` dict (ConfigError on any problem)."""
-        out = {}
-        for name in config:
-            out[name] = self.knob(name).validate(config[name])
-        return out
-
-    def default_config(self) -> Dict[str, object]:
-        """The paper-default configuration: empty — every knob at its
-        built-in (or runtime-derived) default."""
-        return {}
-
     def sample(self, rng: random.Random) -> Dict[str, object]:
         """One random configuration assigning every knob in the space."""
         return {k.name: k.sample(rng) for k in self.knobs}

@@ -10,12 +10,10 @@ from repro import ClusterSpec, DistWS, SimRuntime
 from repro.analysis import (
     TraceRecorder,
     critical_path,
-    experiment_to_csv,
     experiment_to_json,
     place_timeline,
     steal_flow,
     trace_to_json,
-    worker_occupancy,
 )
 from repro.apgas import Apgas
 from repro.errors import ConfigError
@@ -67,7 +65,7 @@ class TestTraceRecorder:
         for leaf in by_label["leaf"]:
             assert leaf.parent_id == driver.task_id
             assert leaf.spawn_time >= driver.start_time
-            assert leaf.queue_delay >= 0
+            assert leaf.start_time >= leaf.spawn_time
 
     def test_busy_profile_bounds(self):
         trace, _ = traced_run()
@@ -116,13 +114,6 @@ class TestRenderers:
         art = steal_flow(trace)
         assert str(stats.tasks_executed_remote) in art
 
-    def test_worker_occupancy(self):
-        trace, _ = traced_run()
-        art = worker_occupancy(trace, place=0, width=20)
-        assert art.count("|") == 4
-        with pytest.raises(ConfigError):
-            worker_occupancy(trace, place=9)
-
 
 class TestEmptyTraceHardening:
     """Empty traces and zero-makespan runs degrade cleanly (no ZeroDivision)."""
@@ -148,12 +139,6 @@ class TestEmptyTraceHardening:
         assert steal_flow(Trace()) == "(empty trace)"
         # Zero makespan but places known: still renders an all-zero matrix.
         assert "total tasks" in steal_flow(self.empty_trace())
-
-    def test_worker_occupancy_empty_stub(self):
-        assert worker_occupancy(self.empty_trace(), place=0) \
-            == "(empty trace)"
-        with pytest.raises(ConfigError):
-            worker_occupancy(self.empty_trace(), place=0, width=2)
 
     def test_critical_path_empty_rejected(self):
         with pytest.raises(ConfigError):
@@ -193,7 +178,5 @@ class TestExports:
     def test_experiment_exports(self):
         from repro.harness.paper import ExperimentOutput
         out = ExperimentOutput("x", ["a", "b"], [[1, 2], [3, 4]], "r")
-        csv_text = experiment_to_csv(out)
-        assert csv_text.splitlines()[0] == "a,b"
         assert json.loads(experiment_to_json(out))["rows"] == [[1, 2],
                                                                [3, 4]]

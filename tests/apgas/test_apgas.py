@@ -57,12 +57,6 @@ class TestApgas:
         assert ap.n_places == 4
         assert list(ap.places()) == [0, 1, 2, 3]
 
-    def test_place_of_block_distribution(self, ap):
-        assert ap.place_of(0, 8) == 0
-        assert ap.place_of(7, 8) == 3
-        with pytest.raises(ConfigError):
-            ap.place_of(8, 8)
-
     def test_alloc_homes_block(self, ap):
         b = ap.alloc(2, 128, "x")
         assert b.home_place == 2
@@ -93,20 +87,11 @@ class TestDistArray:
 
     def test_placement_queries(self, ap):
         arr = DistArray.make(ap, 8)
-        assert arr.place_of(0) == 0
-        assert arr.place_of(7) == 3
         assert arr.chunk_of(1) == range(2, 4)
         assert arr.block_of(2).home_place == 2
 
-    def test_blocks_for_deduplicates(self, ap):
-        arr = DistArray.make(ap, 8)
-        blocks = arr.blocks_for([0, 1, 7])
-        assert len(blocks) == 2
-
     def test_out_of_range_rejected(self, ap):
         arr = DistArray.make(ap, 8)
-        with pytest.raises(ConfigError):
-            arr.place_of(8)
         with pytest.raises(ConfigError):
             arr.chunk_of(9)
 
@@ -127,7 +112,7 @@ class TestPlaceLocalHandle:
 
     def test_set_and_items(self):
         plh = PlaceLocalHandle(2)
-        assert not plh.has(0)
+        assert list(plh.items()) == []
         plh.set(0, "a")
         plh.set(1, "b")
         assert list(plh.items()) == [(0, "a"), (1, "b")]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import ClusterSpec, DistWS, SimRuntime, X10WS
+from repro.apps import make_app
 from repro.apps.bh_tree import QuadTree, direct_forces
 from repro.apps.nbody import NBodyApp
 from repro.errors import AppError
@@ -103,6 +104,25 @@ class TestNBodyApp:
         app.run(SimRuntime(small_cluster(), DistWS(), seed=2))
         pos, _ = app.result()
         assert np.array_equal(pos, app.sequential()[0])
+
+    def test_validate_reuses_the_sequential_step0_forces(self, monkeypatch):
+        """A validated 8x4 test-scale cell traverses the tree 1,425 times:
+        225 cost-estimate samples, 600 in the force tasks and 600 in the
+        sequential oracle.  The θ-error check reads step 0's forces from
+        that oracle run instead of traversing a second tree."""
+        calls = []
+        force_on = QuadTree.force_on
+
+        def counting(tree, i, theta):
+            calls.append(i)
+            return force_on(tree, i, theta)
+
+        monkeypatch.setattr(QuadTree, "force_on", counting)
+        app = make_app("nbody", scale="test", seed=12345)
+        assert (app.n, app.steps) == (600, 1)
+        app.run(SimRuntime(ClusterSpec(n_places=8, workers_per_place=4),
+                           DistWS(), seed=1), validate=True)
+        assert len(calls) == 1425
 
     def test_result_before_run_rejected(self):
         with pytest.raises(AppError):

@@ -67,7 +67,7 @@ class TestMigrate:
         b = memory.allocate(0, 4096)
         latency = memory.migrate(b, 2)
         assert latency > 0
-        assert memory.has_copy(b, 2)
+        assert 2 in memory.replicas(b)
         assert memory.migrations == 1
         assert memory.network.stats.by_kind[MSG_DATA_BLOCK] == 1
 
@@ -89,23 +89,6 @@ class TestMigrate:
         cost = memory.touch(2, None, b)
         assert cost == 0.0
         assert memory.remote_references == 0
-
-    def test_invalidate_replicas(self, memory):
-        b = memory.allocate(0, 64)
-        memory.migrate(b, 1)
-        memory.invalidate_replicas(b)
-        assert memory.replicas(b) == {0}
-
-    def test_drop_replica(self, memory):
-        b = memory.allocate(0, 64)
-        memory.migrate(b, 1)
-        memory.drop_replica(b, 1)
-        assert memory.replicas(b) == {0}
-
-    def test_drop_replica_never_drops_home(self, memory):
-        b = memory.allocate(0, 64)
-        memory.drop_replica(b, 0)
-        assert memory.replicas(b) == {0}
 
 
 class TestCopyBack:

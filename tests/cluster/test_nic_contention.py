@@ -78,10 +78,3 @@ class TestNicModel:
                        for s in sizes)
         assert net.stats.messages == expected
         assert net.stats.bytes == sum(sizes)
-
-    def test_reset_clears_nic_state(self):
-        net, _ = make_net()
-        slow = net.send(0, 1, 1_000_000)
-        net.reset()
-        fresh = net.send(0, 1, 1_000_000)
-        assert fresh == pytest.approx(slow)  # first-transfer cost again

@@ -27,13 +27,6 @@ class TestClusterSpec:
         with pytest.raises(ConfigError):
             ClusterSpec(**kwargs)
 
-    def test_worker_ids_enumerates_all(self):
-        spec = ClusterSpec(n_places=3, workers_per_place=2, max_threads=3)
-        ids = list(spec.worker_ids())
-        assert len(ids) == 6
-        assert ids[0] == (0, 0)
-        assert ids[-1] == (2, 1)
-
     def test_full_topology_distance(self):
         spec = ClusterSpec(n_places=5, workers_per_place=1, max_threads=1)
         assert spec.hop_distance(0, 0) == 0

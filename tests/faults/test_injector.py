@@ -280,7 +280,7 @@ class TestCrashDuringStealWindows:
         inj.ledger.assert_work_conserved()
         assert stats.faults.places_crashed == [1, 2]
         # At least one task was caught by both crashes.
-        assert inj.ledger.loss_events > inj.ledger.lost_count
+        assert max(inj.ledger._losses.values()) >= 2
         # Every loss event was answered by exactly one relocation.
         assert stats.faults.tasks_reexecuted == stats.faults.tasks_lost
 

@@ -51,15 +51,6 @@ class TestPrivateDeque:
         assert d.owner_pops == 1
         assert d.thief_takes == 1
 
-    def test_peek_oldest(self):
-        d = PrivateDeque(0, 0)
-        assert d.peek_oldest() is None
-        a, b = make_tasks(2)
-        d.push(a)
-        d.push(b)
-        assert d.peek_oldest() is a
-        assert len(d) == 2  # peek does not remove
-
     @settings(max_examples=50, deadline=None)
     @given(ops=st.lists(st.sampled_from(["push", "pop", "steal"]),
                         max_size=100))

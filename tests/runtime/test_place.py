@@ -21,7 +21,7 @@ def make_place(env, n_workers=2, max_threads=4):
 class TestStatusFlags:
     def test_fresh_place_is_idle_and_under_utilized(self, env):
         p = make_place(env)
-        assert p.is_idle()
+        assert p.running_activities == 0
         assert p.is_under_utilized()
         assert p.spares() == p.n_workers
 
@@ -85,7 +85,8 @@ class TestDequeSelection:
         p = make_place(env, n_workers=3)
         p.workers[0].deque.push(Task(None, 0))
         p.workers[1].deque.push(Task(None, 0))
-        assert p.least_loaded_deque() is p.workers[2].deque
+        # Every worker is idle, so the shortest deque gets the task.
+        assert p.pick_private_deque() is p.workers[2].deque
 
 
 def parked(env, delay=50.0):

@@ -18,12 +18,14 @@ class TestStatusBoard:
         assert not board.has_surplus(3)
         board.retract(3)  # idempotent
 
-    def test_surplus_places_sorted_and_excluding(self, env):
+    def test_has_surplus_other_excludes_the_asker(self, env):
         board = StatusBoard(env)
-        for p in (5, 1, 3):
-            board.advertise(p)
-        assert board.surplus_places(exclude=3) == [1, 5]
-        assert board.surplus_places(exclude=9) == [1, 3, 5]
+        assert not board.has_surplus_other(exclude=3)
+        board.advertise(3)
+        assert not board.has_surplus_other(exclude=3)
+        assert board.has_surplus_other(exclude=9)
+        board.advertise(5)
+        assert board.has_surplus_other(exclude=3)
 
     def test_advertise_wakes_parked_waiter(self, env):
         board = StatusBoard(env)

@@ -53,7 +53,7 @@ import heapq
 from typing import Any, Generator, List, Optional, Tuple
 
 from repro.errors import DeadlockError, SimulationError
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.events import AnyOf, Event, Timeout
 
 #: Park wake causes, compared by identity in the worker loop (the fast
 #: equivalent of comparing which child event won the legacy ``AnyOf``).
@@ -134,10 +134,6 @@ class Environment:
     def any_of(self, events: List[Event]) -> AnyOf:
         """Composite event triggering on the first of ``events``."""
         return AnyOf(self, events)
-
-    def all_of(self, events: List[Event]) -> AllOf:
-        """Composite event triggering when all ``events`` have triggered."""
-        return AllOf(self, events)
 
     def process(self, generator: Generator[Event, Any, Any]) -> "Process":
         """Start a simulated process from ``generator``."""

@@ -17,10 +17,6 @@ class TestClock:
     def test_custom_initial_time(self):
         assert Environment(5.0).now == 5.0
 
-    def test_step_on_empty_queue_rejected(self, env):
-        with pytest.raises(SimulationError):
-            env.step()
-
     def test_run_until_past_time_rejected(self):
         env = Environment(10.0)
         with pytest.raises(SimulationError):

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim.engine import Environment
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.events import AnyOf, Event, Timeout
 
 
 class TestEvent:
@@ -128,32 +128,6 @@ class TestAnyOf:
         bad = env.event()
         combo = env.any_of([bad, env.event()])
         bad.fail(RuntimeError("x"))
-        env.run()
-        assert combo.triggered
-        assert not combo.ok
-
-
-class TestAllOf:
-    def test_waits_for_all(self, env):
-        a = env.timeout(10, value=1)
-        b = env.timeout(20, value=2)
-        combo = env.all_of([a, b])
-        env.run()
-        assert combo.processed
-        assert env.now == 20.0
-        assert combo.value == [1, 2]
-
-    def test_empty_completes_immediately(self, env):
-        combo = env.all_of([])
-        env.run()
-        assert combo.processed
-        assert combo.value == []
-
-    def test_failure_fails_composite(self, env):
-        a = env.timeout(10)
-        bad = env.event()
-        combo = env.all_of([a, bad])
-        bad.fail(ValueError("nope"))
         env.run()
         assert combo.triggered
         assert not combo.ok

@@ -16,9 +16,9 @@ the lifecycle invariants:
   object-record kernel kept in ``tests/sim/reference_kernel.py``.
 
 - full simulations agree byte for byte, *including* ``events_processed``,
-  between the batched run loop and a one-pop-per-step loop over
-  ``Environment.step`` — the batched same-cycle dispatch counts every
-  dispatched entry exactly as the unbatched loop does.
+  between the batched run loop and the one-pop-per-step loop of
+  ``tests/sim/stepped_kernel.py`` — the batched same-cycle dispatch
+  counts every dispatched entry exactly as the unbatched loop does.
 
 The golden cells in ``tests/sim/test_kernel_fastpath.py`` additionally
 pin each cell's snapshot, ``events_processed`` and observer-stream hash.
@@ -40,7 +40,7 @@ from repro.sched import make_scheduler
 from repro.sim import engine as flat_engine
 from repro.sim.engine import (Environment, Interrupt, ParkRecord,
                               _INITIAL_CAPACITY)
-from tests.sim import reference_kernel
+from tests.sim import reference_kernel, stepped_kernel
 
 
 # -- free-list growth --------------------------------------------------------
@@ -289,20 +289,6 @@ def test_sleep_interrupt_interleavings_match_object_kernel(plan):
 
 # -- full simulation: batched run loop vs one-pop-per-step dispatch ----------
 
-def _stepped_run(self, until=None):
-    """``Environment.run(until=event)`` as a loop over :meth:`step`.
-
-    Every entry goes through the cold ``_dispatch`` copy one heap pop at
-    a time: no batch drain, no inlined column lookups.
-    """
-    while self._queue:
-        if until.callbacks is None:
-            return until.value
-        self.step()
-    assert until.processed
-    return until.value
-
-
 def _run_cell(app: str, sched: str) -> str:
     _reset_task_ids()
     spec = ClusterSpec(n_places=4, workers_per_place=2, max_threads=6)
@@ -321,13 +307,13 @@ def test_full_run_identical_across_kernels_including_event_count(
         app, sched, monkeypatch):
     """Snapshots AND ``events_processed`` agree byte for byte.
 
-    The batched run loop and the one-pop-per-step ``_dispatch`` path must
+    The batched run loop and the one-pop-per-step oracle loop must
     count every logical dispatch the same — a diverging event count means
     the batch drain or a collapsed round skipped or double-counted an
     entry even if the physics happen to match.
     """
     batched = _run_cell(app, sched)
-    monkeypatch.setattr(Environment, "run", _stepped_run)
+    monkeypatch.setattr(Environment, "run", stepped_kernel.stepped_run)
     stepped = _run_cell(app, sched)
     assert json.loads(batched)["events_processed"] > 0
     assert batched == stepped

@@ -458,13 +458,18 @@ def test_mailbox_put_skips_abandoned_getters():
     assert received == ["task-42"]
 
 
-def test_lock_queue_length_excludes_abandoned_waiters():
-    """Crashed waiters no longer inflate ``SimLock.queue_length``."""
+def test_lock_release_skips_abandoned_waiters():
+    """A crashed waiter's abandoned acquire is never handed the lock.
+
+    The abandoned event stays queued in ``SimLock._waiters``; ``release``
+    must pass over it to the live waiter queued behind it.
+    """
     from repro.sim.engine import Interrupt
     from repro.sim.resources import SimLock
 
     env = Environment()
     lock = SimLock(env)
+    acquired = []
 
     def holder():
         yield lock.acquire()
@@ -474,12 +479,13 @@ def test_lock_queue_length_excludes_abandoned_waiters():
     def doomed():
         try:
             yield lock.acquire()
-            raise AssertionError("doomed waiter should never acquire")
+            acquired.append(("doomed", env.now))
         except Interrupt:
             return
 
     def live_waiter():
         yield lock.acquire()
+        acquired.append(("live", env.now))
         lock.release()
 
     env.process(holder())
@@ -488,13 +494,10 @@ def test_lock_queue_length_excludes_abandoned_waiters():
 
     def script():
         yield env.timeout(10)
-        assert lock.queue_length == 2
+        assert len(lock._waiters) == 2
         doomed_proc.interrupt("place-crash")
-        yield env.timeout(0)
-        # The abandoned waiter is still queued internally but is no
-        # longer demand: release() will skip it.
-        assert lock.queue_length == 1
 
     env.process(script())
     env.run()
+    assert acquired == [("live", 100.0)]
     assert not lock.locked

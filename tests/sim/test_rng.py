@@ -55,9 +55,3 @@ class TestRngStreams:
         rngs2 = RngStreams(5)
         x2 = rngs2.stream("signal").integers(0, 1000, size=10)
         assert np.array_equal(x1, x2)
-
-    def test_fresh_is_uncached(self):
-        rngs = RngStreams(5)
-        a = rngs.fresh("f").integers(0, 1000, size=5)
-        b = rngs.fresh("f").integers(0, 1000, size=5)
-        assert np.array_equal(a, b)  # same seed, fresh state each time

@@ -147,21 +147,16 @@ class TestScheduleKnobTables:
 
 class TestParamSpace:
     def test_unknown_knob_in_config_rejected(self):
-        space = ParamSpace.for_scheduler("DistWS")
         with pytest.raises(ConfigError, match="unknown knob"):
-            space.validate_config({"warp_factor": 9})
+            make_scheduler("DistWS", warp_factor=9)
 
     def test_out_of_range_config_rejected(self):
-        space = ParamSpace.for_scheduler("DistWS")
         with pytest.raises(ConfigError, match="out of range"):
-            space.validate_config({"remote_chunk_size": 99})
+            make_scheduler("DistWS", remote_chunk_size=99)
 
     def test_restricted_space_rejects_unknown_name(self):
         with pytest.raises(ConfigError, match="unknown knob"):
             ParamSpace.for_scheduler("DistWS", names=["chunky"])
-
-    def test_default_config_is_empty(self):
-        assert ParamSpace.for_scheduler("X10WS").default_config() == {}
 
     def test_sample_assigns_every_knob(self):
         space = ParamSpace.for_scheduler("DistWS",
@@ -169,7 +164,7 @@ class TestParamSpace:
                                                 "victim_order"])
         config = space.sample(random.Random(3))
         assert set(config) == {"remote_chunk_size", "victim_order"}
-        space.validate_config(config)
+        make_scheduler("DistWS", **config)
 
     def test_grid_is_cartesian_and_deterministic(self):
         space = ParamSpace.for_scheduler("DistWS",
