@@ -23,16 +23,14 @@ Run:  python examples/tune_chunk_size.py
 
 from __future__ import annotations
 
-from repro.cluster.topology import ClusterSpec
-from repro.harness.parallel import execution
-from repro.tune import GridSearch, TuneCell, tune
+from repro.cluster.topology import paper_cluster
+from repro.harness.parallel import CellRequest, execution
+from repro.tune import GridSearch, tune
 
 
 def main() -> None:
-    cell = TuneCell(
-        app="uts", scheduler="DistWS",
-        spec=ClusterSpec(n_places=4, workers_per_place=2, max_threads=4),
-        scale="test", sched_seeds=(1, 2, 3))
+    cell = CellRequest.build("uts", "DistWS", paper_cluster(4, 2),
+                             sched_seeds=(1, 2, 3), scale="test")
 
     # parallel=4 shards the 15 runs (5 configs x 3 seeds) over four
     # processes; add store_path=... to make re-runs instant.

@@ -36,8 +36,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro import SCHEDULERS, ClusterSpec, SimRuntime, make_scheduler
+from repro import SCHEDULERS, SimRuntime, make_scheduler
 from repro.apps import APP_REGISTRY, make_app
+from repro.cluster.topology import paper_cluster
 from repro.harness import EXPERIMENTS
 from repro.harness.tables import render_table
 from repro.sched import resolve_scheduler
@@ -74,13 +75,13 @@ def _resolve_fault_plan(args, spec, knobs):
     re-simulating it.
     """
     from repro.faults import FaultPlan
-    from repro.harness import run_once
+    from repro.harness import RunSpec, current_context
     plan = FaultPlan.parse(args.faults)
     if plan.needs_horizon:
-        cal = run_once(args.app, args.scheduler, spec,
-                       app_seed=args.seed, sched_seed=args.sched_seed,
-                       scale=args.scale, validate=False,
-                       sched_kwargs=knobs)
+        cal, = current_context().run_specs([RunSpec.build(
+            args.app, args.scheduler, spec, app_seed=args.seed,
+            sched_seed=args.sched_seed, scale=args.scale, validate=False,
+            sched_kwargs=knobs)])
         print(f"[calibration: fault-free makespan "
               f"{cal.stats.makespan_cycles:.0f} cycles]")
         plan = plan.resolved(cal.stats.makespan_cycles)
@@ -152,9 +153,7 @@ def _cmd_run(args) -> int:
     from repro.tune import make_controller, parse_sched_args
 
     args.scheduler = resolve_scheduler(args.scheduler)
-    spec = ClusterSpec(n_places=args.places,
-                       workers_per_place=args.workers,
-                       max_threads=args.workers + 4)
+    spec = paper_cluster(args.places, args.workers)
     knobs = parse_sched_args(args.scheduler, args.sched_arg) or {}
     sched_kwargs = dict(knobs)
     if args.controller:
@@ -217,25 +216,9 @@ def _cmd_run(args) -> int:
 def _cmd_tune(args) -> int:
     from repro.errors import ConfigError
     from repro.harness import execution
-    from repro.tune import (
-        GridSearch,
-        RandomSearch,
-        SuccessiveHalving,
-        TuneCell,
-        tune,
-    )
+    from repro.tune import GridSearch, RandomSearch, SuccessiveHalving, tune
 
-    spec = ClusterSpec(n_places=args.places,
-                       workers_per_place=args.workers,
-                       max_threads=args.workers + 4)
-    apps = args.app or ["uts"]
-    schedulers = [resolve_scheduler(s)
-                  for s in (args.scheduler or ["DistWS"])]
-    seeds = tuple(range(1, args.seeds + 1))
-    cells = [TuneCell(app=app, scheduler=sched, spec=spec,
-                      scale=args.scale, app_seed=args.seed,
-                      sched_seeds=seeds)
-             for app in apps for sched in schedulers]
+    cells = _grid_cells(args)
     if args.engine == "grid":
         engine = GridSearch(budget=args.budget)
     elif args.engine == "random":
@@ -268,22 +251,12 @@ def _cmd_theory(args) -> int:
     )
     from repro.harness import execution
 
-    spec = ClusterSpec(n_places=args.places,
-                       workers_per_place=args.workers,
-                       max_threads=args.workers + 4)
-    apps = args.app or ["uts"]
-    schedulers = [resolve_scheduler(s)
-                  for s in (args.scheduler or ["RandomWS", "DistWS"])]
     if args.lambdas:
         lambdas = tuple(args.lambdas)
     else:
         lambdas = LAMBDA_GRID_QUICK if args.quick else LAMBDA_GRID_FULL
-    seeds = tuple(range(1, args.seeds + 1))
     with execution(parallel=args.parallel, store_path=args.store) as ctx:
-        report = run_theory_sweep(
-            apps=apps, schedulers=schedulers, spec=spec,
-            lambdas=lambdas, sched_seeds=seeds, scale=args.scale,
-            app_seed=args.seed)
+        report = run_theory_sweep(_grid_cells(args), lambdas)
         print(report.rendered())
         _print_store_summary(args, ctx)
     os.makedirs(args.out, exist_ok=True)
@@ -359,29 +332,22 @@ def _print_store_summary(args, ctx) -> None:
               f"simulated here, {counts['done']} done total]")
 
 
-def _enqueue_grid(args):
-    """Expand the enqueue/workers grid options into RunSpecs."""
-    from repro.harness.parallel import CellRequest
-    from repro.tune import accepted_kwargs, parse_sched_args_any
+def _grid_cells(args, sched_kwargs=None):
+    """One CellRequest per app x scheduler the grid flags name.
 
-    spec = ClusterSpec(n_places=args.places,
-                       workers_per_place=args.workers_per_place,
-                       max_threads=args.workers_per_place + 4)
-    sched_kwargs = parse_sched_args_any(args.sched_arg)
-    apps = args.app or ["uts", "quicksort", "dmg"]
-    schedulers = [resolve_scheduler(s)
-                  for s in (args.scheduler or ["DistWS", "X10WS",
-                                               "RandomWS"])]
-    seeds = tuple(range(1, args.seeds + 1))
-    specs = []
-    for app in apps:
-        for sched in schedulers:
-            request = CellRequest.build(
-                app, sched, spec, sched_seeds=seeds,
-                app_seed=args.app_seed, scale=args.scale,
-                sched_kwargs=accepted_kwargs(sched, sched_kwargs))
-            specs.extend(request.to_specs())
-    return specs
+    Each scheduler takes the ``sched_kwargs`` knobs it has.
+    """
+    from repro.harness.parallel import CellRequest
+    from repro.tune import accepted_kwargs
+
+    spec = paper_cluster(args.places, args.workers)
+    return [CellRequest.build(
+        app, sched, spec, sched_seeds=range(1, args.seeds + 1),
+        app_seed=args.seed, scale=args.scale,
+        sched_kwargs=accepted_kwargs(sched, sched_kwargs))
+        for app in args.app or args.grid_apps
+        for sched in map(resolve_scheduler,
+                         args.scheduler or args.grid_schedulers)]
 
 
 def _store_counts_rows(counts) -> list:
@@ -391,8 +357,11 @@ def _store_counts_rows(counts) -> list:
 
 def _cmd_enqueue(args) -> int:
     from repro.harness.db import ExperimentStore
+    from repro.tune import parse_sched_args_any
 
-    specs = _enqueue_grid(args)
+    specs = [spec for cell in _grid_cells(
+        args, parse_sched_args_any(args.sched_arg))
+        for spec in cell.to_specs()]
     with ExperimentStore(args.store) as store:
         added = store.add_specs(specs)
         counts = store.counts()
@@ -752,6 +721,62 @@ def _render_svgs(name: str, out):
                                  y_label="speedup"))
 
 
+def _cell_flags(p, *, app=None, scheduler=None, places=None, workers=None,
+                seed=False, seeds=None, scale=None, sched_arg=False) -> None:
+    """Declare the grid flags a subcommand takes, with its defaults.
+
+    They name a cell's inputs (a ``RunSpec`` and its seeds); a flag
+    whose default is ``None`` (or ``False``) is left out.  String
+    ``app``/``scheduler`` defaults name one cell; lists make both flags
+    repeatable and are the grid :func:`_grid_cells` expands when
+    neither flag is given.
+    """
+    if isinstance(app, str):
+        p.add_argument("--app", default=app, choices=sorted(APP_REGISTRY))
+        p.add_argument("--scheduler", default=scheduler,
+                       help="registry name, any case (see `repro list`)")
+    elif app is not None:
+        p.add_argument("--app", action="append",
+                       choices=sorted(APP_REGISTRY), metavar="APP",
+                       help="application(s) (repeatable; default "
+                            f"{','.join(app)})")
+        p.add_argument("--scheduler", action="append", metavar="SCHED",
+                       help="scheduler(s) (repeatable, case-insensitive; "
+                            f"default {','.join(scheduler)})")
+        p.set_defaults(grid_apps=app, grid_schedulers=scheduler)
+    if places is not None:
+        p.add_argument("--places", type=int, default=places)
+        p.add_argument("--workers", type=int, default=workers,
+                       help="workers per place in the simulated cluster")
+    if seed:
+        p.add_argument("--seed", type=int, default=12345,
+                       help="application input seed")
+    if seeds is not None:
+        p.add_argument("--seeds", type=_positive_int, default=seeds,
+                       metavar="N", help="scheduler seeds per cell")
+    if scale is not None:
+        p.add_argument("--scale", default=scale, choices=("bench", "test"))
+    if sched_arg:
+        p.add_argument("--sched-arg", action="append", metavar="KEY=VALUE",
+                       help="set a scheduler knob (repeatable; see `repro "
+                            "list`); across a grid each scheduler takes "
+                            "the knobs it has")
+
+
+def _exec_flags(p, *, parallel=True, store_required=False) -> None:
+    """Declare the execution flags: a worker budget and a store."""
+    if parallel:
+        p.add_argument("--parallel", type=_positive_int, default=1,
+                       metavar="N",
+                       help="shard the cells over N processes (results "
+                            "identical to serial)")
+    p.add_argument("--store", required=store_required, metavar="PATH",
+                   help="experiment store (SQLite job queue): finished "
+                        "cells replay instead of re-simulating; "
+                        "crash-resumable, drainable by `repro workers` "
+                        "on this host")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -761,29 +786,15 @@ def main(argv=None) -> int:
     sub.add_parser("list", help="list apps, schedulers, artifacts")
 
     runp = sub.add_parser("run", help="run one simulation")
-    runp.add_argument("--app", default="turing",
-                      choices=sorted(APP_REGISTRY))
-    runp.add_argument("--scheduler", default="DistWS",
-                      help="registry name, any case (see `repro list`)")
-    runp.add_argument("--places", type=int, default=16)
-    runp.add_argument("--workers", type=int, default=8)
-    runp.add_argument("--seed", type=int, default=12345,
-                      help="application input seed")
+    _cell_flags(runp, app="turing", scheduler="DistWS", places=16,
+                workers=8, seed=True, scale="bench", sched_arg=True)
+    _exec_flags(runp, parallel=False)  # --store: the --faults calibration
     runp.add_argument("--sched-seed", type=int, default=1)
-    runp.add_argument("--scale", default="bench",
-                      choices=("bench", "test"))
     runp.add_argument("--no-validate", action="store_true")
     runp.add_argument("--faults", metavar="SPEC",
                       help="fault-injection spec, e.g. "
                            "'crash:p2@0.4,loss:steal=0.05,policy:relax' "
                            "(see repro.faults.plan for the grammar)")
-    runp.add_argument("--store", metavar="PATH",
-                      help="experiment store for the --faults "
-                           "calibration pre-run (repeat chaos runs "
-                           "skip it)")
-    runp.add_argument("--sched-arg", action="append", metavar="KEY=VALUE",
-                      help="set a scheduler knob (repeatable; see "
-                           "`repro list` for knobs and defaults)")
     runp.add_argument("--controller", metavar="NAME",
                       help="attach an online feedback controller "
                            "(aimd-chunk or idle-threshold)")
@@ -823,57 +834,26 @@ def main(argv=None) -> int:
                           help="regenerate paper tables/figures")
     repp.add_argument("artifacts", nargs="*",
                       help=f"any of: {', '.join(EXPERIMENTS)}")
-    repp.add_argument("--scale", default="bench",
-                      choices=("bench", "test"))
+    _cell_flags(repp, scale="bench", sched_arg=True)
+    _exec_flags(repp)
     repp.add_argument("--json-dir",
                       help="also write each artifact as JSON here")
     repp.add_argument("--svg-dir",
                       help="also render figures (fig5/fig6) as SVG here")
-    repp.add_argument("--parallel", type=_positive_int, default=1,
-                      metavar="N",
-                      help="shard the experiment grid over N processes "
-                           "(results identical to serial)")
-    repp.add_argument("--sched-arg", action="append", metavar="KEY=VALUE",
-                      help="set a scheduler knob across the whole grid "
-                           "(repeatable; schedulers lacking a knob "
-                           "ignore it)")
-    repp.add_argument("--store", metavar="PATH",
-                      help="route the grid through a durable experiment "
-                           "store (SQLite job queue): repeated runs "
-                           "replay finished cells, crash-resumable, "
-                           "drainable by `repro workers` on this host")
 
     enq = sub.add_parser("enqueue",
                          help="seed a durable experiment store with a "
                               "grid of cells (run nothing)")
-    enq.add_argument("--store", required=True, metavar="PATH",
-                     help="SQLite store file (created if missing)")
-    enq.add_argument("--app", action="append",
-                     choices=sorted(APP_REGISTRY), metavar="APP",
-                     help="application(s) (repeatable; default "
-                          "uts,quicksort,dmg)")
-    enq.add_argument("--scheduler", action="append", metavar="SCHED",
-                     help="scheduler(s) (repeatable, case-insensitive; "
-                          "default DistWS,X10WS,RandomWS)")
-    enq.add_argument("--places", type=int, default=8)
-    enq.add_argument("--workers", type=int, default=4,
-                     dest="workers_per_place",
-                     help="workers per place in the simulated cluster")
-    enq.add_argument("--seeds", type=_positive_int, default=3,
-                     help="scheduler seeds per cell")
-    enq.add_argument("--app-seed", type=int, default=12345)
-    enq.add_argument("--scale", default="test",
-                     choices=("bench", "test"))
-    enq.add_argument("--sched-arg", action="append",
-                     metavar="KEY=VALUE",
-                     help="set a scheduler knob across the grid; each "
-                          "scheduler takes the knobs it has (repeatable)")
+    _cell_flags(enq, app=["uts", "quicksort", "dmg"],
+                scheduler=["DistWS", "X10WS", "RandomWS"], places=8,
+                workers=4, seed=True, seeds=3, scale="test", sched_arg=True)
+    _exec_flags(enq, parallel=False, store_required=True)
 
     wrk = sub.add_parser("workers",
                          help="drain an experiment store: claim cells "
                               "under leases, heartbeat, commit "
                               "(crash-resumable)")
-    wrk.add_argument("--store", required=True, metavar="PATH")
+    _exec_flags(wrk, parallel=False, store_required=True)
     wrk.add_argument("--workers", type=_positive_int, default=1,
                      metavar="N",
                      help="worker processes to run on this machine")
@@ -907,7 +887,7 @@ def main(argv=None) -> int:
     qry = sub.add_parser("query",
                          help="inspect an experiment store's rows and "
                               "longitudinal results")
-    qry.add_argument("--store", required=True, metavar="PATH")
+    _exec_flags(qry, parallel=False, store_required=True)
     qry.add_argument("--status",
                      choices=("pending", "leased", "done", "failed"))
     qry.add_argument("--app", choices=sorted(APP_REGISTRY))
@@ -949,13 +929,9 @@ def main(argv=None) -> int:
 
     tunep = sub.add_parser("tune",
                            help="search scheduler knobs (offline tuning)")
-    tunep.add_argument("--app", action="append",
-                       choices=sorted(APP_REGISTRY), metavar="APP",
-                       help="application(s) to tune on (repeatable; "
-                            "default uts)")
-    tunep.add_argument("--scheduler", action="append", metavar="SCHED",
-                       help="scheduler(s) to tune (repeatable, "
-                            "case-insensitive; default DistWS)")
+    _cell_flags(tunep, app=["uts"], scheduler=["DistWS"], places=4,
+                workers=2, seed=True, seeds=2, scale="test")
+    _exec_flags(tunep)
     tunep.add_argument("--engine", default="random",
                        choices=("grid", "random", "asha"))
     tunep.add_argument("--budget", type=_positive_int, default=None,
@@ -969,48 +945,17 @@ def main(argv=None) -> int:
     tunep.add_argument("--knob", action="append", metavar="NAME",
                        help="restrict the search to these knobs "
                             "(repeatable; default: all)")
-    tunep.add_argument("--places", type=int, default=4)
-    tunep.add_argument("--workers", type=int, default=2)
-    tunep.add_argument("--seed", type=int, default=12345,
-                       help="application input seed")
-    tunep.add_argument("--seeds", type=_positive_int, default=2,
-                       metavar="N",
-                       help="scheduler seeds per trial (median taken)")
-    tunep.add_argument("--scale", default="test",
-                       choices=("bench", "test"))
     tunep.add_argument("--top", type=_positive_int, default=12,
                        help="ranked rows shown per cell")
-    tunep.add_argument("--parallel", type=_positive_int, default=1,
-                       metavar="N",
-                       help="shard trials over N processes")
-    tunep.add_argument("--store", metavar="PATH",
-                       help="route trials through a durable experiment "
-                            "store (shared with `repro workers`); "
-                            "repeated searches replay finished trials")
     tunep.add_argument("--json", metavar="PATH",
                        help="write the full report as JSON")
 
     theoryp = sub.add_parser("theory",
                              help="validate makespans against the "
                                   "W/p + c*lambda*log2(W) latency bound")
-    theoryp.add_argument("--app", action="append",
-                         choices=sorted(APP_REGISTRY), metavar="APP",
-                         help="application(s) to sweep (repeatable; "
-                              "default uts)")
-    theoryp.add_argument("--scheduler", action="append", metavar="SCHED",
-                         help="scheduler(s) to fit (repeatable, "
-                              "case-insensitive; default RandomWS + "
-                              "DistWS)")
-    theoryp.add_argument("--places", type=int, default=4)
-    theoryp.add_argument("--workers", type=int, default=2)
-    theoryp.add_argument("--seeds", type=_positive_int, default=5,
-                         metavar="N",
-                         help="scheduler seeds per lambda point "
-                              "(mean taken; default 5)")
-    theoryp.add_argument("--seed", type=int, default=12345,
-                         help="application input seed")
-    theoryp.add_argument("--scale", default="test",
-                         choices=("bench", "test"))
+    _cell_flags(theoryp, app=["uts"], scheduler=["RandomWS", "DistWS"],
+                places=4, workers=2, seed=True, seeds=5, scale="test")
+    _exec_flags(theoryp)
     theoryp.add_argument("--quick", action="store_true",
                          help="small 4-point lambda grid (CI smoke)")
     theoryp.add_argument("--lambda", dest="lambdas", action="append",
@@ -1021,13 +966,6 @@ def main(argv=None) -> int:
     theoryp.add_argument("--out", metavar="DIR", default=".",
                          help="write theory_<app>.svg + "
                               "theory_verdict.json here (default: cwd)")
-    theoryp.add_argument("--parallel", type=_positive_int, default=1,
-                         metavar="N",
-                         help="shard the lambda grid over N processes")
-    theoryp.add_argument("--store", metavar="PATH",
-                         help="route the sweep through a durable "
-                              "experiment store (SQLite job queue); "
-                              "repeated sweeps replay finished cells")
 
     def _serve_common(p, *, loadgen: bool) -> None:
         """Flags shared by ``serve`` and ``loadgen``."""

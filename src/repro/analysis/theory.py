@@ -35,10 +35,8 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.cluster.costmodel import DEFAULT_COST_MODEL, CostModel
-from repro.cluster.topology import ClusterSpec, paper_cluster
 from repro.errors import ConfigError
 from repro.harness.parallel import CellRequest, run_cells
 
@@ -219,54 +217,44 @@ class TheoryReport:
         return "\n".join(lines)
 
 
-def run_theory_sweep(apps: Sequence[str] = ("uts",),
-                     schedulers: Sequence[str] = ("RandomWS", "DistWS"),
-                     spec: Optional[ClusterSpec] = None,
+def run_theory_sweep(cells: Sequence[CellRequest],
                      lambdas: Sequence[float] = LAMBDA_GRID_QUICK,
-                     sched_seeds: Sequence[int] = (1, 2, 3, 4, 5),
-                     scale: str = "test",
-                     app_seed: int = 12345,
-                     base_costs: CostModel = DEFAULT_COST_MODEL,
-                     sched_kwargs: Optional[Dict[str, dict]] = None,
                      ) -> TheoryReport:
-    """Sweep λ = ``net_latency`` and fit the latency model per column.
+    """Sweep λ = ``net_latency`` over each cell and fit the latency model.
 
-    One :class:`CellRequest` per (app, scheduler, λ) — each cell runs
-    every scheduler seed — executed through the ambient
+    Each :class:`CellRequest` (one app × scheduler column, every
+    scheduler seed) runs once per λ with that ``net_latency`` in its
+    cost model, through the ambient
     :class:`~repro.harness.parallel.ExecutionContext`, so the sweep
     shards over helper processes or drains through a crash-resilient
     experiment store, exactly like ``repro reproduce``.  Per-λ cost
     models flow into every ``RunSpec.cache_key``, so no two λ points
-    can ever collide in a store.
-
-    ``sched_kwargs`` optionally maps scheduler name -> constructor knobs.
+    can ever collide in a store.  The report's scale and seeds are the
+    first cell's.
     """
     if len(set(lambdas)) < 2:
         raise ConfigError("a theory sweep needs >= 2 distinct lambdas")
-    spec = spec or paper_cluster()
+    if not cells:
+        raise ConfigError("a theory sweep needs at least one cell")
     requests = []
-    columns = []
-    for app in apps:
-        for sched in schedulers:
-            kwargs = (sched_kwargs or {}).get(sched)
-            for lam in lambdas:
-                costs = dataclasses.replace(base_costs,
-                                            net_latency=float(lam))
-                costs.validate()
-                requests.append(CellRequest.build(
-                    app, sched, spec=spec, sched_seeds=sched_seeds,
-                    app_seed=app_seed, scale=scale, costs=costs,
-                    sched_kwargs=kwargs))
-            columns.append((app, sched))
+    for cell in cells:
+        for lam in lambdas:
+            costs = dataclasses.replace(cell.run.costs,
+                                        net_latency=float(lam))
+            costs.validate()
+            requests.append(CellRequest(
+                dataclasses.replace(cell.run, costs=costs),
+                cell.sched_seeds))
     results = run_cells(requests)
-    report = TheoryReport(scale=scale, sched_seeds=tuple(sched_seeds))
+    report = TheoryReport(scale=cells[0].run.scale,
+                          sched_seeds=cells[0].sched_seeds)
     per_column = len(lambdas)
-    for i, (app, sched) in enumerate(columns):
-        cells = results[i * per_column:(i + 1) * per_column]
-        measured = [cell.mean(lambda r: r.stats.makespan_cycles)
-                    for cell in cells]
-        work = cells[0].mean(lambda r: r.stats.work_sum_cycles)
+    for i, cell in enumerate(cells):
+        column = results[i * per_column:(i + 1) * per_column]
+        measured = [c.mean(lambda r: r.stats.makespan_cycles)
+                    for c in column]
+        work = column[0].mean(lambda r: r.stats.work_sum_cycles)
         report.fits.append(fit_latency_model(
-            list(lambdas), measured, work, spec.total_workers,
-            scheduler=sched, app=app))
+            list(lambdas), measured, work, cell.run.spec.total_workers,
+            scheduler=cell.run.scheduler, app=cell.run.app))
     return report

@@ -122,7 +122,6 @@ class DMGApp(Application):
                                   else 0.05)
                         ctx.spawn(
                             insert_task_body(half, block, depth + 1),
-                            place=ctx.place,
                             work=self.CYCLES_PER_POINT * len(half)
                             * factor,
                             reads=[block], locality=FLEXIBLE,

@@ -181,7 +181,7 @@ class DMRApp(Application):
                 for i in range(0, len(new_bad), self.chunk):
                     part = new_bad[i:i + self.chunk]
                     ctx.spawn(
-                        refine_body(part), place=ctx.place,
+                        refine_body(part),
                         work=(self.CYCLES_PER_INSERT
                               + self.CYCLES_PER_CHECK) * len(part),
                         reads=[region_blocks[ctx.place]],

@@ -238,7 +238,7 @@ class TuringRingApp(Application):
                     # async (thisPlace) c.updatePreyPop() — sensitive; if
                     # the non-selective scheduler ships it, the result
                     # must come back.
-                    ctx.spawn(inner, place=ctx.place,
+                    ctx.spawn(inner,
                               work=self.CYCLES_PER_BODY_INNER
                               * max(q0, 1.0),
                               reads=[cell_blocks[c]],

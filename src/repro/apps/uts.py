@@ -117,7 +117,6 @@ class UTSApp(Application):
                 kids = self._children_of(node_id, depth)
                 for c in range(kids):
                     ctx.spawn(expand(f"{node_id}.{c}", depth + 1),
-                              place=ctx.place,
                               work=self.CYCLES_PER_NODE,
                               flexible=True, closure_bytes=96,
                               label="uts-node")

@@ -77,11 +77,6 @@ class LruCache:
         if w is not None:
             self._weight -= w
 
-    def clear(self) -> None:
-        """Empty the cache, keeping statistics."""
-        self._entries.clear()
-        self._weight = 0
-
     # -- internals ------------------------------------------------------------
     def _clamp(self, weight: int) -> int:
         if weight < 1:

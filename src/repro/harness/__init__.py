@@ -8,7 +8,7 @@ from repro.harness.db import (
     graceful_signals,
     run_worker,
 )
-from repro.harness.experiment import CellResult, RunResult, run_cell, run_once
+from repro.harness.experiment import CellResult, RunResult, run_cell
 from repro.harness.figures import bar_chart, grouped_bars, series_lines
 from repro.harness.parallel import (
     CellRequest,
@@ -64,7 +64,6 @@ __all__ = [
     "render_table",
     "run_cell",
     "run_cells",
-    "run_once",
     "run_worker",
     "series_lines",
     "table1",

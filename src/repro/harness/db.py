@@ -835,8 +835,14 @@ def drain(store: ExperimentStore, owner: Optional[str] = None,
             f"lease_seconds ({lease}) must exceed heartbeat_seconds "
             f"({heartbeat_seconds}) or every live lease expires")
     stop = stop or threading.Event()
+    # Load numpy.random before the first claim: its Cython modules
+    # initialise with a bare ``except: pass`` that swallows a signal
+    # handled inside them, which the check below then catches at once.
+    import numpy.random  # noqa: F401
     completed = 0
     while not stop.is_set():
+        if _signalled:
+            raise KeyboardInterrupt("a signal whose raise was swallowed")
         row = store.claim(owner, lease)
         if row is None:
             store.reap()
@@ -895,6 +901,10 @@ def drain_with_helpers(store: ExperimentStore, helpers: int,
                 proc.join()
 
 
+#: Set by :func:`graceful_signals`' handler until its block exits.
+_signalled = False
+
+
 @contextmanager
 def graceful_signals():
     """Convert ``SIGTERM`` into :class:`KeyboardInterrupt` for the block.
@@ -904,21 +914,27 @@ def graceful_signals():
     unwinds through the normal interrupt path instead of dying with a
     bare traceback mid-write: :func:`run_claimed` releases the held
     lease, and :func:`drain_with_helpers` terminates and joins its
-    helpers.  A no-op off the main thread (signal handlers can only be
-    installed there).
+    helpers.  The signal is sticky: code that swallows the raise cannot
+    lose it, because :func:`drain` raises again before its next claim.
+    A no-op off the main thread (signal handlers can only be installed
+    there).
     """
     if threading.current_thread() is not threading.main_thread():
         yield
         return
 
     def _to_interrupt(signum, frame):
+        global _signalled
+        _signalled = True
         raise KeyboardInterrupt(f"signal {signum}")
 
+    global _signalled
     previous = signal.signal(signal.SIGTERM, _to_interrupt)
     try:
         yield
     finally:
         signal.signal(signal.SIGTERM, previous)
+        _signalled = False
 
 
 def run_worker(path: str, owner: Optional[str] = None,

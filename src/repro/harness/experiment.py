@@ -14,7 +14,7 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
-from repro.cluster.costmodel import DEFAULT_COST_MODEL, CostModel
+from repro.cluster.costmodel import DEFAULT_COST_MODEL
 from repro.cluster.topology import ClusterSpec
 from repro.runtime.stats import RunStats
 
@@ -69,57 +69,21 @@ class CellResult:
         return statistics.fmean(self._vals(fn))
 
 
-def run_once(app_name: str, scheduler: str,
-             spec: Optional[ClusterSpec] = None,
-             app_seed: int = 12345, sched_seed: int = 1,
-             scale: str = "bench",
-             costs: CostModel = DEFAULT_COST_MODEL,
-             validate: bool = True,
-             sched_kwargs: Optional[dict] = None,
-             app_overrides: Optional[dict] = None,
-             fault_plan=None) -> RunResult:
-    """Run one (app, scheduler, cluster) cell once.
-
-    ``fault_plan`` (a resolved :class:`~repro.faults.plan.FaultPlan`)
-    attaches a fault injector to the run, for scripted chaos experiments;
-    the default ``None`` runs the cell fault-free.
-
-    Routes through the active :mod:`repro.harness.parallel` execution
-    context: with an experiment store installed, a repeated run (same
-    app, scheduler, cluster, seeds, cost model, fault plan) is served
-    from the store's ``done`` row instead of re-simulating.
-    """
-    from repro.harness.parallel import RunSpec, current_context
-
-    run_spec = RunSpec.build(
-        app_name, scheduler, spec, app_seed=app_seed,
-        sched_seed=sched_seed, scale=scale, costs=costs,
-        validate=validate, sched_kwargs=sched_kwargs,
-        app_overrides=app_overrides, fault_plan=fault_plan)
-    return current_context().run_specs([run_spec])[0]
-
-
 def run_cell(app_name: str, scheduler: str,
              spec: Optional[ClusterSpec] = None,
-             app_seed: int = 12345,
              sched_seeds: Sequence[int] = (1, 2, 3),
-             scale: str = "bench",
-             costs: CostModel = DEFAULT_COST_MODEL,
-             validate: bool = True,
-             sched_kwargs: Optional[dict] = None,
-             app_overrides: Optional[dict] = None) -> CellResult:
+             **run_kwargs) -> CellResult:
     """Run a cell once per scheduler seed and aggregate.
 
-    Only the first seed validates application output (validating every
-    repetition of a deterministic app is redundant).  The cell executes
-    under the active execution context, so its seeds shard over helper
-    processes and replay from the experiment store when one is
-    installed.
+    ``run_kwargs`` are :meth:`~repro.harness.parallel.RunSpec.build`'s
+    keywords.  Only the first seed validates application output
+    (validating every repetition of a deterministic app is redundant).
+    The cell executes under the active execution context, so its seeds
+    shard over helper processes and replay from the experiment store
+    when one is installed.
     """
     from repro.harness.parallel import CellRequest, current_context
 
-    request = CellRequest.build(
-        app_name, scheduler, spec, sched_seeds=sched_seeds,
-        app_seed=app_seed, scale=scale, costs=costs, validate=validate,
-        sched_kwargs=sched_kwargs, app_overrides=app_overrides)
+    request = CellRequest.build(app_name, scheduler, spec,
+                                sched_seeds=sched_seeds, **run_kwargs)
     return current_context().run_cells([request])[0]

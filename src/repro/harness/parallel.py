@@ -100,7 +100,8 @@ class RunSpec:
               sched_kwargs: Optional[dict] = None,
               app_overrides: Optional[dict] = None,
               fault_plan=None) -> "RunSpec":
-        """Normalising constructor mirroring ``run_once``'s signature."""
+        """Normalising constructor: ``None`` spec is the paper cluster,
+        kwargs dicts are frozen to sorted item tuples."""
         return cls(app=app, scheduler=scheduler,
                    spec=spec or paper_cluster(),
                    app_seed=app_seed, sched_seed=sched_seed, scale=scale,
@@ -171,55 +172,33 @@ def simulate(spec: RunSpec, bus=None):
 
 @dataclasses.dataclass(frozen=True)
 class CellRequest:
-    """One experiment-grid cell: a run per scheduler seed, aggregated.
+    """One experiment-grid cell: a :class:`RunSpec` run once per
+    scheduler seed, aggregated.
 
-    Mirrors ``run_cell``'s signature; like the serial path, only the
-    first seed validates application output (repeating validation on a
-    deterministic app is redundant).
+    ``run`` names every input but the seed; like the serial path, only
+    the first seed validates application output (repeating validation
+    on a deterministic app is redundant).
     """
 
-    app: str
-    scheduler: str
-    spec: ClusterSpec
+    run: RunSpec
     sched_seeds: Tuple[int, ...] = (1, 2, 3)
-    app_seed: int = 12345
-    scale: str = "bench"
-    costs: CostModel = DEFAULT_COST_MODEL
-    validate: bool = True
-    sched_kwargs: Tuple[Tuple[str, object], ...] = ()
-    app_overrides: Tuple[Tuple[str, object], ...] = ()
 
     @classmethod
     def build(cls, app: str, scheduler: str,
               spec: Optional[ClusterSpec] = None,
               sched_seeds: Sequence[int] = (1, 2, 3),
-              app_seed: int = 12345, scale: str = "bench",
-              costs: CostModel = DEFAULT_COST_MODEL,
-              validate: bool = True,
-              sched_kwargs: Optional[dict] = None,
-              app_overrides: Optional[dict] = None) -> "CellRequest":
+              **run_kwargs) -> "CellRequest":
+        """``sched_seeds`` plus :meth:`RunSpec.build`'s keywords."""
         if not sched_seeds:
             raise ConfigError("a cell needs at least one scheduler seed")
-        return cls(app=app, scheduler=scheduler,
-                   spec=spec or paper_cluster(),
-                   sched_seeds=tuple(sched_seeds), app_seed=app_seed,
-                   scale=scale, costs=costs, validate=validate,
-                   sched_kwargs=_freeze_kwargs(sched_kwargs),
-                   app_overrides=_freeze_kwargs(app_overrides))
+        return cls(RunSpec.build(app, scheduler, spec, **run_kwargs),
+                   tuple(sched_seeds))
 
     def to_specs(self) -> List[RunSpec]:
         """Expand into per-seed :class:`RunSpec`\\ s (validate-first)."""
-        specs = []
-        validate = self.validate
-        for s in self.sched_seeds:
-            specs.append(RunSpec(
-                app=self.app, scheduler=self.scheduler, spec=self.spec,
-                app_seed=self.app_seed, sched_seed=s, scale=self.scale,
-                costs=self.costs, validate=validate,
-                sched_kwargs=self.sched_kwargs,
-                app_overrides=self.app_overrides))
-            validate = False
-        return specs
+        return [dataclasses.replace(self.run, sched_seed=s,
+                                    validate=self.run.validate and i == 0)
+                for i, s in enumerate(self.sched_seeds)]
 
 
 class ExecutionContext:

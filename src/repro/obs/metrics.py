@@ -235,22 +235,6 @@ class MetricsRegistry(Sink):
                 self._series_max_points)
         series.record(t, value)
 
-    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        """Fold ``other``'s histograms into this registry (returns self).
-
-        Histograms merge exactly (see :meth:`Histogram.merge`); names
-        missing on either side are unioned in.  Time series are *not*
-        merged — each series is stamped with its own run's simulated
-        clock, so concatenating them across runs would interleave
-        unrelated timelines; fleet rollups are distribution-shaped.
-        """
-        for name, hist in other.histograms.items():
-            mine = self.histograms.get(name)
-            if mine is None:
-                mine = self.histograms[name] = Histogram()
-            mine.merge(hist)
-        return self
-
     # -- reporting ---------------------------------------------------------
     def snapshot(self) -> Dict[str, object]:
         """Deterministic plain-dict block for the run snapshot."""

@@ -207,10 +207,6 @@ class Environment:
         heapq.heappush(self._queue, (self._now + delay, self._seq, h))
 
     # -- event factories ------------------------------------------------------
-    def event(self) -> Event:
-        """Create a fresh pending :class:`Event`."""
-        return Event(self)
-
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event triggering ``delay`` cycles in the future."""
         return Timeout(self, delay, value)

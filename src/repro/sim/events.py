@@ -62,13 +62,6 @@ class Event:
         return self.callbacks is None
 
     @property
-    def ok(self) -> bool:
-        """``True`` if the event succeeded, ``False`` if it failed."""
-        if not self.triggered:
-            raise SimulationError("event value not yet available")
-        return self._ok
-
-    @property
     def value(self) -> Any:
         """The payload passed to :meth:`succeed` (or the failure exception)."""
         if self._value is PENDING:

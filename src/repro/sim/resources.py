@@ -147,32 +147,18 @@ class Mailbox:
     mailbox and idle workers drain it.
     """
 
-    __slots__ = ("env", "name", "_items", "_getters")
+    __slots__ = ("env", "name", "_items")
 
     def __init__(self, env: Environment, name: str = "mailbox") -> None:
         self.env = env
         self.name = name
         self._items: Deque = deque()
-        self._getters: Deque[Event] = deque()
 
     def __len__(self) -> int:
         return len(self._items)
 
     def put(self, item) -> None:
-        """Deposit ``item``; wakes the oldest *live* blocked getter if any.
-
-        Getters abandoned by an interrupted process (their place crashed
-        while they were blocked on :meth:`get`) are skipped, exactly as
-        :meth:`SimLock.release` skips dead lock waiters — delivering to a
-        dead process would silently lose the task.
-        """
-        getters = self._getters
-        while getters:
-            ev = getters.popleft()
-            if ev._abandoned:
-                continue
-            ev.succeed(item)
-            return
+        """Deposit ``item`` for a later :meth:`try_get`."""
         self._items.append(item)
 
     def try_get(self) -> Optional[object]:
@@ -180,12 +166,3 @@ class Mailbox:
         if self._items:
             return self._items.popleft()
         return None
-
-    def get(self) -> Event:
-        """Event that triggers with the next item (blocks until one arrives)."""
-        ev = Event(self.env)
-        if self._items:
-            ev.succeed(self._items.popleft())
-        else:
-            self._getters.append(ev)
-        return ev

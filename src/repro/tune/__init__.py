@@ -35,7 +35,6 @@ from repro.tune.search import (
     SearchEngine,
     SuccessiveHalving,
     Trial,
-    TuneCell,
     TuningReport,
     evaluate_configs,
     tune,
@@ -67,7 +66,6 @@ __all__ = [
     "SearchEngine",
     "SuccessiveHalving",
     "Trial",
-    "TuneCell",
     "TuningReport",
     "accepted_kwargs",
     "evaluate_configs",

@@ -1,6 +1,7 @@
 """Offline scheduler tuning: search engines + ranked tuning reports.
 
-A *tuning cell* is one (application, scheduler, cluster) target; a
+A tuning target is a :class:`~repro.harness.parallel.CellRequest`: one
+(application, scheduler, cluster) cell and its scheduler seeds.  A
 *trial* is one configuration of that scheduler's
 :class:`~repro.tune.space.ParamSpace` evaluated over one or more
 scheduler seeds.  Three engines are provided:
@@ -32,16 +33,15 @@ paper's fixed constants leave on the table.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cluster.costmodel import DEFAULT_COST_MODEL, CostModel
-from repro.cluster.topology import ClusterSpec, paper_cluster
 from repro.errors import ConfigError
-from repro.harness.parallel import RunSpec, current_context
+from repro.harness.parallel import CellRequest, current_context
 from repro.harness.tables import render_table
 from repro.tune.space import ParamSpace
 
@@ -63,23 +63,6 @@ def _config_label(config: Dict[str, object]) -> str:
         else:
             parts.append(f"{name}={value}")
     return " ".join(parts)
-
-
-@dataclass(frozen=True)
-class TuneCell:
-    """One search target: an (app, scheduler, cluster) cell."""
-
-    app: str
-    scheduler: str
-    spec: ClusterSpec = field(default_factory=paper_cluster)
-    scale: str = "test"
-    app_seed: int = 12345
-    sched_seeds: Tuple[int, ...] = (1, 2)
-    costs: CostModel = DEFAULT_COST_MODEL
-
-    def __post_init__(self) -> None:
-        if not self.sched_seeds:
-            raise ConfigError("a tuning cell needs at least one seed")
 
 
 @dataclass(frozen=True)
@@ -125,27 +108,27 @@ class Trial:
         }
 
 
-def evaluate_configs(cell: TuneCell, configs: Sequence[Dict[str, object]],
+def evaluate_configs(cell: CellRequest,
+                     configs: Sequence[Dict[str, object]],
                      fidelity: Fidelity, rung: int = 0) -> List[Trial]:
     """Run every config at ``fidelity`` through the ambient context.
 
-    The whole batch is flattened to :class:`RunSpec`\\ s first so a
-    parallel context shards across configs *and* seeds; identical
-    configs (and rows already done in a store) are simulated only once.  Each returned
-    trial carries its regret against the default config, which is
-    force-included in the batch.
+    Each config is laid over the cell's own ``sched_kwargs``; no run
+    validates.  The whole batch is flattened to
+    :class:`~repro.harness.parallel.RunSpec`\\ s first so a parallel
+    context shards across configs *and* seeds; identical configs (and
+    rows already done in a store) are simulated only once.  Each
+    returned trial carries its regret against the default config, which
+    is force-included in the batch.
     """
     configs = list(configs)
     if not any(not c for c in configs):
         configs.append({})
-    specs: List[RunSpec] = []
-    for config in configs:
-        for seed in fidelity.sched_seeds:
-            specs.append(RunSpec.build(
-                cell.app, cell.scheduler, cell.spec,
-                app_seed=cell.app_seed, sched_seed=seed,
-                scale=fidelity.scale, costs=cell.costs, validate=False,
-                sched_kwargs=config))
+    base = dataclasses.replace(cell.run, scale=fidelity.scale,
+                               validate=False)
+    specs = [dataclasses.replace(base, sched_seed=seed, sched_kwargs=tuple(
+        sorted({**dict(base.sched_kwargs), **config}.items())))
+        for config in configs for seed in fidelity.sched_seeds]
     results = current_context().run_specs(specs)
     trials: List[Trial] = []
     cursor = 0
@@ -170,13 +153,13 @@ class SearchEngine:
 
     name: str = "abstract"
 
-    def search(self, cell: TuneCell, space: ParamSpace) -> List[Trial]:
+    def search(self, cell: CellRequest, space: ParamSpace) -> List[Trial]:
         raise NotImplementedError
 
-    def _rng(self, seed: int, cell: TuneCell) -> random.Random:
+    def _rng(self, seed: int, cell: CellRequest) -> random.Random:
         # Seed with a string so determinism survives hash randomization
         # (random.Random(str) hashes via sha512, not PYTHONHASHSEED).
-        return random.Random(f"{seed}:{cell.app}:{cell.scheduler}")
+        return random.Random(f"{seed}:{cell.run.app}:{cell.run.scheduler}")
 
 
 class GridSearch(SearchEngine):
@@ -189,7 +172,7 @@ class GridSearch(SearchEngine):
             raise ConfigError(f"budget must be >= 1, got {budget}")
         self.budget = budget
 
-    def search(self, cell: TuneCell, space: ParamSpace) -> List[Trial]:
+    def search(self, cell: CellRequest, space: ParamSpace) -> List[Trial]:
         configs: List[Dict[str, object]] = [{}]
         seen = {_config_key({})}
         for config in space.grid():
@@ -200,7 +183,7 @@ class GridSearch(SearchEngine):
             configs.append(config)
             if self.budget is not None and len(configs) >= self.budget:
                 break
-        fidelity = Fidelity(cell.scale, cell.sched_seeds)
+        fidelity = Fidelity(cell.run.scale, cell.sched_seeds)
         return evaluate_configs(cell, configs, fidelity)
 
 
@@ -215,12 +198,12 @@ class RandomSearch(SearchEngine):
         self.budget = budget
         self.seed = seed
 
-    def search(self, cell: TuneCell, space: ParamSpace) -> List[Trial]:
+    def search(self, cell: CellRequest, space: ParamSpace) -> List[Trial]:
         rng = self._rng(self.seed, cell)
         configs: List[Dict[str, object]] = [{}]
         for _ in range(self.budget - 1):
             configs.append(space.sample(rng))
-        fidelity = Fidelity(cell.scale, cell.sched_seeds)
+        fidelity = Fidelity(cell.run.scale, cell.sched_seeds)
         return evaluate_configs(cell, configs, fidelity)
 
 
@@ -268,13 +251,13 @@ class SuccessiveHalving(SearchEngine):
             n0 += 1
         return [max(1, -(-n0 // self.eta ** r)) for r in range(n_rungs)]
 
-    def _default_rungs(self, cell: TuneCell) -> Tuple[Fidelity, ...]:
-        first = Fidelity(cell.scale, cell.sched_seeds[:1])
+    def _default_rungs(self, cell: CellRequest) -> Tuple[Fidelity, ...]:
+        first = Fidelity(cell.run.scale, cell.sched_seeds[:1])
         if len(cell.sched_seeds) > 1:
-            return (first, Fidelity(cell.scale, cell.sched_seeds))
+            return (first, Fidelity(cell.run.scale, cell.sched_seeds))
         return (first,)
 
-    def search(self, cell: TuneCell, space: ParamSpace) -> List[Trial]:
+    def search(self, cell: CellRequest, space: ParamSpace) -> List[Trial]:
         rungs = self.rungs if self.rungs is not None \
             else self._default_rungs(cell)
         sizes = self.plan(len(rungs))
@@ -316,7 +299,7 @@ ENGINES = {
 class CellReport:
     """Ranked tuning outcome for one (app, scheduler) cell."""
 
-    cell: TuneCell
+    cell: CellRequest
     engine: str
     space: ParamSpace
     trials: List[Trial]
@@ -379,7 +362,7 @@ class CellReport:
 
     # -- rendering ---------------------------------------------------------
     def rendered(self, top: int = 12) -> str:
-        ms = self.cell.costs.cycles_per_ms
+        ms = self.cell.run.costs.cycles_per_ms
         ranked = self.ranked()
         default_median = self.default_trial.median_makespan
         rows = []
@@ -389,7 +372,7 @@ class CellReport:
             rows.append([i + 1, _config_label(t.config),
                          round(t.median_makespan / ms, 3),
                          round(t.regret / ms, 3), f"{pct:+.2f}%"])
-        title = (f"tuning {self.cell.app} x {self.cell.scheduler} "
+        title = (f"tuning {self.cell.run.app} x {self.cell.run.scheduler} "
                  f"({self.engine}, {len(self.trials)} trials, "
                  f"default rank {self.default_rank()}/{len(ranked)})")
         out = render_table(
@@ -400,15 +383,15 @@ class CellReport:
             out += "\n\n" + render_table(
                 ["knob", "values tried", "best value", "spread % of default"],
                 sens,
-                title=f"knob sensitivity ({self.cell.app} x "
-                      f"{self.cell.scheduler})")
+                title=f"knob sensitivity ({self.cell.run.app} x "
+                      f"{self.cell.run.scheduler})")
         return out
 
     def as_dict(self) -> Dict[str, object]:
         return {
-            "app": self.cell.app,
-            "scheduler": self.cell.scheduler,
-            "scale": self.cell.scale,
+            "app": self.cell.run.app,
+            "scheduler": self.cell.run.scheduler,
+            "scale": self.cell.run.scale,
             "engine": self.engine,
             "n_trials": len(self.trials),
             "default_rank": self.default_rank(),
@@ -430,11 +413,11 @@ class TuningReport:
         if len(self.cells) > 1:
             rows = []
             for c in self.cells:
-                ms = c.cell.costs.cycles_per_ms
+                ms = c.cell.run.costs.cycles_per_ms
                 default = c.default_trial.median_makespan
                 pct = (100.0 * c.best.regret / default if default > 0
                        else 0.0)
-                rows.append([c.cell.app, c.cell.scheduler,
+                rows.append([c.cell.run.app, c.cell.run.scheduler,
                              _config_label(c.best.config),
                              round(c.best.median_makespan / ms, 3),
                              f"{pct:+.2f}%"])
@@ -450,7 +433,7 @@ class TuningReport:
                           sort_keys=True, indent=1)
 
 
-def tune(cells: Sequence[TuneCell], engine: SearchEngine,
+def tune(cells: Sequence[CellRequest], engine: SearchEngine,
          knob_names: Optional[Sequence[str]] = None) -> TuningReport:
     """Search every cell with ``engine`` under the ambient context.
 
@@ -461,7 +444,7 @@ def tune(cells: Sequence[TuneCell], engine: SearchEngine,
         raise ConfigError("nothing to tune: no cells given")
     reports = []
     for cell in cells:
-        space = ParamSpace.for_scheduler(cell.scheduler, knob_names)
+        space = ParamSpace.for_scheduler(cell.run.scheduler, knob_names)
         trials = engine.search(cell, space)
         reports.append(CellReport(cell=cell, engine=engine.name,
                                   space=space, trials=trials))

@@ -26,6 +26,7 @@ from repro.analysis.theory import (
 )
 from repro.cluster.topology import ClusterSpec
 from repro.errors import ConfigError
+from repro.harness.parallel import CellRequest
 
 
 class TestFitSynthetic:
@@ -93,9 +94,9 @@ class TestSweepQuickScale:
         spec = ClusterSpec(n_places=4, workers_per_place=2,
                            max_threads=4)
         return run_theory_sweep(
-            apps=("uts",), schedulers=("RandomWS",), spec=spec,
-            lambdas=LAMBDA_GRID_QUICK, sched_seeds=(1, 2, 3, 4, 5),
-            scale="test")
+            [CellRequest.build("uts", "RandomWS", spec,
+                               sched_seeds=(1, 2, 3, 4, 5), scale="test")],
+            LAMBDA_GRID_QUICK)
 
     def test_randomws_fits_with_high_r_squared(self, report):
         """The analysed protocol obeys W/p + c·λ·log₂W with R² >= 0.9."""
@@ -136,4 +137,5 @@ class TestSweepQuickScale:
 class TestSweepValidation:
     def test_single_lambda_rejected(self):
         with pytest.raises(ConfigError):
-            run_theory_sweep(lambdas=(5_000.0,))
+            run_theory_sweep([CellRequest.build("uts", "RandomWS")],
+                             lambdas=(5_000.0,))

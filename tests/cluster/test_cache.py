@@ -54,13 +54,6 @@ class TestLruBasics:
         assert 1 not in c
         c.invalidate(99)  # absent: no-op
 
-    def test_clear_keeps_stats(self):
-        c = LruCache(2)
-        c.access(1)
-        c.clear()
-        assert len(c) == 0
-        assert c.stats.misses == 1
-
     def test_resident_blocks_lru_order(self):
         c = LruCache(3)
         for b in (1, 2, 3):

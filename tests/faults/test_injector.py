@@ -315,10 +315,10 @@ class TestOtherFaults:
         inj.ledger.assert_work_conserved()
 
     def test_harness_run_once_accepts_fault_plan(self):
-        from repro.harness.experiment import run_once
+        from repro.harness.experiment import run_cell
         plan = FaultPlan.parse("straggle:p1x2")
-        res = run_once("dmg", "DistWS", spec=spec(), scale="test",
-                       fault_plan=plan)
+        res, = run_cell("dmg", "DistWS", spec(), sched_seeds=(1,),
+                        scale="test", fault_plan=plan).runs
         assert res.stats.faults is not None
         assert res.stats.faults.snapshot()["tasks_lost"] == 0
 

@@ -535,3 +535,33 @@ class TestGracefulSignals:
         assert counts["pending"] == 1 and counts["leased"] == 0
         # and the attempt was refunded
         assert store.claim("w2", 5.0).attempt == 1
+
+    def test_swallowed_interrupt_still_stops_the_drain(self, tmp_path,
+                                                       monkeypatch):
+        """A cell that swallows the SIGTERM's raise (as a Cython module
+        initialising under it does) finishes, and the drain stops
+        before its next claim with no row left leased."""
+        import repro.harness.parallel as parallel_mod
+        from repro.obs.fleet import FleetTelemetry
+
+        store = make_store(tmp_path)
+        store.add_specs(grid_specs())
+        original = parallel_mod.simulate
+
+        def swallowing(spec):
+            try:
+                os.kill(os.getpid(), signal.SIGTERM)
+            except KeyboardInterrupt:
+                pass
+            return original(spec)
+
+        monkeypatch.setattr(parallel_mod, "simulate", swallowing)
+        with pytest.raises(KeyboardInterrupt):
+            with graceful_signals():
+                drain(store, fleet=FleetTelemetry(enabled=False))
+        counts = store.counts()
+        assert counts["done"] == 1 and counts["leased"] == 0
+        assert counts["pending"] == len(grid_specs()) - 1
+        # The flag dies with the block: a later drain runs to the end.
+        monkeypatch.setattr(parallel_mod, "simulate", original)
+        assert drain(store, fleet=FleetTelemetry(enabled=False)) == 3

@@ -7,11 +7,19 @@ import pytest
 from repro.apps import APP_REGISTRY, PAPER_APPS, make_app
 from repro.cluster.topology import ClusterSpec
 from repro.errors import ConfigError
-from repro.harness.experiment import run_cell, run_once
+from repro.harness.experiment import run_cell
+from repro.harness.parallel import RunSpec, current_context
 
 
 def tiny_spec():
     return ClusterSpec(n_places=2, workers_per_place=2, max_threads=4)
+
+
+def run_once(**kwargs):
+    """One uts x DistWS run through the active execution context."""
+    spec = RunSpec.build("uts", "DistWS", tiny_spec(), scale="test",
+                         **kwargs)
+    return current_context().run_specs([spec])[0]
 
 
 class TestRegistry:
@@ -39,22 +47,19 @@ class TestRegistry:
 
 class TestRunOnce:
     def test_returns_result_with_speedup(self):
-        res = run_once("uts", "DistWS", tiny_spec(), scale="test")
+        res = run_once()
         assert res.speedup > 0
         assert res.makespan_ms > 0
         assert res.stats.tasks_executed > 0
         assert res.wall_seconds > 0
 
     def test_deterministic(self):
-        a = run_once("uts", "DistWS", tiny_spec(), scale="test",
-                     sched_seed=4)
-        b = run_once("uts", "DistWS", tiny_spec(), scale="test",
-                     sched_seed=4)
+        a = run_once(sched_seed=4)
+        b = run_once(sched_seed=4)
         assert a.stats.makespan_cycles == b.stats.makespan_cycles
 
     def test_sched_kwargs_forwarded(self):
-        res = run_once("uts", "DistWS", tiny_spec(), scale="test",
-                       sched_kwargs={"remote_chunk_size": 4})
+        res = run_once(sched_kwargs={"remote_chunk_size": 4})
         assert res.stats.tasks_executed > 0
 
 

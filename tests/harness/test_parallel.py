@@ -123,6 +123,32 @@ class TestCacheKey:
         assert len(keys) == 1 + len(variants), \
             "two distinct configurations collided on one cache key"
 
+    def test_keys_are_pinned(self):
+        """Every store row already written keys on these exact bytes."""
+        full = RunSpec.build(
+            "dmg", "RandomWS",
+            ClusterSpec(n_places=4, workers_per_place=2, max_threads=6),
+            app_seed=7, sched_seed=3, scale="test", validate=False,
+            sched_kwargs={"remote_chunk_size": 4},
+            app_overrides={"n": 500},
+            fault_plan=FaultPlan.parse(
+                "crash:p2@90000,loss:steal=0.05,policy:relax"))
+        assert RunSpec.build("uts", "DistWS").cache_key() == (
+            "308deaddc8ab8db15b9ba59b09b87d8c"
+            "14253a09e20bb18ab6c3b041feb43a0e")
+        assert full.cache_key() == (
+            "636a6a40e1c51b6ed78908da871f7269"
+            "5f3b1733f8849de36a3b00ee422bb95f")
+
+    def test_cell_expands_per_seed_and_validates_first(self):
+        plan = FaultPlan(crashes=(PlaceCrash(1, 0.5),), seed=7)
+        cell = CellRequest.build("uts", "DistWS", tiny_spec(),
+                                 sched_seeds=(4, 5, 6), scale="test",
+                                 fault_plan=plan)
+        assert cell.to_specs() == [
+            self.base(sched_seed=s, validate=s == 4, fault_plan=plan)
+            for s in (4, 5, 6)]
+
 
 class TestContextCaching:
     def test_warm_cache_runs_zero_simulations(self, tmp_path):

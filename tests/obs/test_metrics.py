@@ -266,31 +266,6 @@ class TestMetricsRegistry:
         block = stats.snapshot()["obs"]["metrics"]
         assert set(block) == {"histograms", "series"}
 
-    def test_merge_adds_histograms_not_series(self):
-        a, _ = observed_run()
-        b, _ = observed_run()
-        expect = {name: a.histograms[name].count + b.histograms[name].count
-                  for name in HISTOGRAM_NAMES}
-        series_before = {name: s.snapshot()
-                         for name, s in a.series.items()}
-        assert a.merge(b) is a
-        for name in HISTOGRAM_NAMES:
-            assert a.histograms[name].count == expect[name]
-        # Series carry per-run simulated clocks; merging must not
-        # interleave them.
-        assert {name: s.snapshot()
-                for name, s in a.series.items()} == series_before
-
-    def test_merge_unions_unknown_histograms(self):
-        a = MetricsRegistry()
-        b = MetricsRegistry()
-        extra = Histogram()
-        extra.record(7)
-        b.histograms["custom"] = extra
-        a.merge(b)
-        assert a.histograms["custom"].count == 1
-        assert a.histograms["custom"] is not extra
-
 
 class TestDiff:
     def test_flatten_paths(self):

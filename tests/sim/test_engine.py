@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.errors import DeadlockError, SimulationError
 from repro.sim.engine import Environment, Interrupt
+from repro.sim.events import Event
 
 
 class TestClock:
@@ -83,11 +84,11 @@ class TestProcess:
         p = env.process(proc())
         env.run()
         assert p.triggered
-        assert not p.ok
+        assert not p._ok
         assert isinstance(p.value, RuntimeError)
 
     def test_failed_event_raises_inside_process(self, env):
-        bad = env.event()
+        bad = Event(env)
         caught = []
 
         def proc():
@@ -107,7 +108,7 @@ class TestProcess:
 
         p = env.process(proc())
         env.run()
-        assert not p.ok
+        assert not p._ok
         assert isinstance(p.value, SimulationError)
 
     def test_keyboard_interrupt_aborts_the_run(self, env):
@@ -128,7 +129,7 @@ class TestProcess:
     def test_keyboard_interrupt_via_throw_aborts_the_run(self, env):
         import pytest
 
-        bad = env.event()
+        bad = Event(env)
 
         def proc():
             try:
@@ -180,13 +181,13 @@ class TestProcess:
         assert env.now == 42.0
 
     def test_deadlock_detected(self, env):
-        never = env.event()
+        never = Event(env)
 
         def waiter():
             yield never
 
         env.process(waiter())
-        target = env.event()
+        target = Event(env)
         with pytest.raises(DeadlockError):
             env.run(until=target)
 

@@ -11,26 +11,24 @@ from repro.sim.events import AnyOf, Event, Timeout
 
 class TestEvent:
     def test_starts_pending(self, env):
-        ev = env.event()
+        ev = Event(env)
         assert not ev.triggered
         assert not ev.processed
 
     def test_value_unavailable_while_pending(self, env):
-        ev = env.event()
+        ev = Event(env)
         with pytest.raises(SimulationError):
             _ = ev.value
-        with pytest.raises(SimulationError):
-            _ = ev.ok
 
     def test_succeed_carries_value(self, env):
-        ev = env.event()
+        ev = Event(env)
         ev.succeed(42)
         assert ev.triggered
-        assert ev.ok
+        assert ev._ok
         assert ev.value == 42
 
     def test_double_trigger_rejected(self, env):
-        ev = env.event()
+        ev = Event(env)
         ev.succeed()
         with pytest.raises(SimulationError):
             ev.succeed()
@@ -38,20 +36,20 @@ class TestEvent:
             ev.fail(RuntimeError("x"))
 
     def test_fail_requires_exception(self, env):
-        ev = env.event()
+        ev = Event(env)
         with pytest.raises(TypeError):
             ev.fail("not an exception")  # type: ignore[arg-type]
 
     def test_fail_carries_exception(self, env):
-        ev = env.event()
+        ev = Event(env)
         exc = ValueError("boom")
         ev.fail(exc)
         assert ev.triggered
-        assert not ev.ok
+        assert not ev._ok
         assert ev.value is exc
 
     def test_callbacks_run_on_processing(self, env):
-        ev = env.event()
+        ev = Event(env)
         seen = []
         ev.add_callback(lambda e: seen.append(e.value))
         ev.succeed("x")
@@ -60,7 +58,7 @@ class TestEvent:
         assert seen == ["x"]
 
     def test_callback_after_processing_rejected(self, env):
-        ev = env.event()
+        ev = Event(env)
         ev.succeed()
         env.run()
         with pytest.raises(SimulationError):
@@ -107,7 +105,7 @@ class TestAnyOf:
     def test_pre_scheduled_timeout_does_not_win_immediately(self, env):
         # Regression: a Timeout is 'triggered' from birth; AnyOf must wait
         # for it to be *processed*.
-        gate_ev = env.event()
+        gate_ev = Event(env)
         guard = env.timeout(1000)
         combo = env.any_of([gate_ev, guard])
         assert not combo.triggered
@@ -119,15 +117,15 @@ class TestAnyOf:
     def test_already_processed_child_fires_composite(self, env):
         ev = env.timeout(5)
         env.run()
-        combo = env.any_of([ev, env.event()])
+        combo = env.any_of([ev, Event(env)])
         env.run()
         assert combo.processed
         assert combo.value is ev
 
     def test_failure_propagates(self, env):
-        bad = env.event()
-        combo = env.any_of([bad, env.event()])
+        bad = Event(env)
+        combo = env.any_of([bad, Event(env)])
         bad.fail(RuntimeError("x"))
         env.run()
         assert combo.triggered
-        assert not combo.ok
+        assert not combo._ok

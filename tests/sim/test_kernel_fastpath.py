@@ -417,47 +417,6 @@ def test_board_waiter_list_bounded_under_idle_churn():
 
 # -- satellite regressions --------------------------------------------------
 
-def test_mailbox_put_skips_abandoned_getters():
-    """A crash while blocked on ``get`` must not swallow later items.
-
-    Regression: ``Mailbox.put`` used to hand the item to the oldest
-    getter unconditionally; if that getter's process had been
-    interrupted (its place crashed mid-``get``), the item was delivered
-    to a dead process and silently lost.
-    """
-    from repro.sim.engine import Interrupt
-    from repro.sim.resources import Mailbox
-
-    env = Environment()
-    box = Mailbox(env)
-    received = []
-
-    def doomed():
-        try:
-            yield box.get()
-            raise AssertionError("doomed getter should never receive")
-        except Interrupt:
-            return  # crashed while blocked on get
-
-    def survivor():
-        item = yield box.get()
-        received.append(item)
-
-    doomed_proc = env.process(doomed())
-
-    def script():
-        yield env.timeout(1)
-        doomed_proc.interrupt("place-crash")
-        yield env.timeout(1)
-        env.process(survivor())
-        yield env.timeout(1)
-        box.put("task-42")
-
-    env.process(script())
-    env.run()
-    assert received == ["task-42"]
-
-
 def test_lock_release_skips_abandoned_waiters():
     """A crashed waiter's abandoned acquire is never handed the lock.
 

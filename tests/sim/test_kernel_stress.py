@@ -76,13 +76,15 @@ class TestManyProcesses:
 
         def transformer():
             for _ in range(100):
-                item = yield box_a.get()
+                while (item := box_a.try_get()) is None:
+                    yield env.timeout(1)
                 yield env.timeout(1)
                 box_b.put(item * 2)
 
         def consumer():
             for _ in range(100):
-                item = yield box_b.get()
+                while (item := box_b.try_get()) is None:
+                    yield env.timeout(1)
                 sink.append(item)
 
         env.process(producer())

@@ -187,48 +187,3 @@ class TestMailbox:
         assert box.try_get() == "a"
         assert box.try_get() == "b"
         assert box.try_get() is None
-
-    def test_blocking_get_wakes_on_put(self, env):
-        box = Mailbox(env)
-        got = []
-
-        def consumer():
-            item = yield box.get()
-            got.append((env.now, item))
-
-        env.process(consumer())
-
-        def producer():
-            yield env.timeout(12)
-            box.put("task")
-
-        env.process(producer())
-        env.run()
-        assert got == [(12.0, "task")]
-
-    def test_get_with_item_ready_is_immediate(self, env):
-        box = Mailbox(env)
-        box.put("x")
-        ev = box.get()
-        assert ev.triggered
-        assert ev.value == "x"
-
-    def test_fifo_delivery_to_multiple_getters(self, env):
-        box = Mailbox(env)
-        got = []
-
-        def consumer(i):
-            item = yield box.get()
-            got.append((i, item))
-
-        env.process(consumer(0))
-        env.process(consumer(1))
-
-        def producer():
-            yield env.timeout(1)
-            box.put("first")
-            box.put("second")
-
-        env.process(producer())
-        env.run()
-        assert got == [(0, "first"), (1, "second")]

@@ -278,12 +278,12 @@ class TestTuneCli:
         """Fractional crash times resolve against the fault-free
         makespan of the *knobbed* scheduler, not the default one."""
         from repro.cluster.topology import ClusterSpec
-        from repro.harness import run_once
+        from repro.harness import RunSpec, current_context
 
         spec = ClusterSpec(n_places=4, workers_per_place=4, max_threads=8)
-        want = run_once("uts", "DistWS", spec, scale="test",
-                        validate=False,
-                        sched_kwargs={"remote_chunk_size": 8})
+        want, = current_context().run_specs([RunSpec.build(
+            "uts", "DistWS", spec, scale="test", validate=False,
+            sched_kwargs={"remote_chunk_size": 8})])
         code = main(["run", "--app", "uts", "--scale", "test",
                      "--places", "4", "--workers", "4",
                      "--sched-arg", "remote_chunk_size=8",
@@ -731,3 +731,68 @@ class TestFleetCli:
         import os
         assert os.path.exists(f"{out_dir}/report.html")
         assert not os.path.exists(f"{out_dir}/merged.trace.json")
+
+
+class TestFlagSets:
+    #: Every subcommand's flags (positionals by name).  A flag added to,
+    #: dropped from or renamed in a subcommand shows here.
+    FLAGS = {
+        "list": [],
+        "run": ["--app", "--chrome-trace", "--controller", "--events",
+                "--faults", "--no-validate", "--places",
+                "--sample-interval", "--scale", "--sched-arg",
+                "--sched-seed", "--scheduler", "--seed", "--snapshot",
+                "--store", "--trace-json", "--workers"],
+        "diff-stats": ["--fail-over", "baseline", "candidate"],
+        "reproduce": ["--json-dir", "--parallel", "--scale", "--sched-arg",
+                      "--store", "--svg-dir", "artifacts"],
+        "enqueue": ["--app", "--places", "--scale", "--sched-arg",
+                    "--scheduler", "--seed", "--seeds", "--store",
+                    "--workers"],
+        "workers": ["--events", "--heartbeat", "--lease", "--max-attempts",
+                    "--no-telemetry", "--poll", "--sample-interval",
+                    "--store", "--trace-dir", "--workers"],
+        "query": ["--app", "--json", "--limit", "--quarantined", "--rollup",
+                  "--scheduler", "--status", "--store"],
+        "top": ["--failures", "--interval", "--iterations", "--no-clear",
+                "--window", "store"],
+        "report": ["--out", "store"],
+        "tune": ["--app", "--budget", "--engine", "--eta", "--json",
+                 "--knob", "--parallel", "--places", "--scale",
+                 "--scheduler", "--search-seed", "--seed", "--seeds",
+                 "--store", "--top", "--workers"],
+        "theory": ["--app", "--lambda", "--out", "--parallel", "--places",
+                   "--quick", "--scale", "--scheduler", "--seed", "--seeds",
+                   "--store", "--workers"],
+        "serve": ["--balancer", "--cold-factor", "--faults", "--host",
+                  "--places", "--port", "--private-cap", "--seed",
+                  "--shared-cap", "--workers"],
+        "loadgen": ["--balancer", "--cold-factor", "--connect", "--cpu-ms",
+                    "--duration", "--faults", "--hot-place", "--out",
+                    "--pattern", "--places", "--policy", "--private-cap",
+                    "--rate", "--seed", "--service-jitter", "--service-ms",
+                    "--shared-cap", "--skew", "--sticky-fraction", "--svg",
+                    "--workers"],
+    }
+
+    def test_each_subcommand_keeps_its_flags(self, monkeypatch):
+        import argparse
+
+        built = []
+
+        def capture(parser, args=None, namespace=None):
+            built.append(parser)
+            raise SystemExit(0)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", capture)
+        with pytest.raises(SystemExit):
+            main(["list"])
+        sub, = [a for a in built[0]._actions
+                if isinstance(a, argparse._SubParsersAction)]
+        flags = {name: sorted(flag for action in parser._actions
+                              for flag in action.option_strings
+                              or [action.dest]
+                              if flag not in ("-h", "--help"))
+                 for name, parser in sub.choices.items()}
+        assert flags == self.FLAGS
+        assert sum(map(len, flags.values())) == 121

@@ -6,21 +6,20 @@ import pytest
 
 from repro.cluster.topology import ClusterSpec
 from repro.errors import ConfigError
-from repro.harness.parallel import execution
+from repro.harness.parallel import CellRequest, execution
 from repro.tune import (
     Fidelity,
     GridSearch,
     RandomSearch,
     SuccessiveHalving,
-    TuneCell,
     tune,
 )
 
 #: A deliberately tiny cell so every engine test stays cheap.
-CELL = TuneCell(
-    app="uts", scheduler="DistWS",
-    spec=ClusterSpec(n_places=2, workers_per_place=2, max_threads=4),
-    scale="test", sched_seeds=(1,))
+CELL = CellRequest.build(
+    "uts", "DistWS",
+    ClusterSpec(n_places=2, workers_per_place=2, max_threads=4),
+    sched_seeds=(1,), scale="test")
 
 #: Restricting to one knob keeps grids small and sample spaces cheap.
 KNOBS = ["remote_chunk_size"]
@@ -118,9 +117,7 @@ class TestSuccessiveHalving:
             SuccessiveHalving(budget=2).plan(3)
 
     def test_promotion_accounting(self, store_path):
-        cell = TuneCell(
-            app="uts", scheduler="DistWS", spec=CELL.spec,
-            scale="test", sched_seeds=(1, 2))
+        cell = CellRequest(CELL.run, sched_seeds=(1, 2))
         engine = SuccessiveHalving(budget=8, seed=0, eta=2)
         report, _ = _tune(engine, store_path, cell=cell)
         trials = report.cells[0].trials
@@ -175,11 +172,10 @@ class TestSearchBeatsDefault:
         """ISSUE acceptance: the search finds a config that beats the
         paper-default median makespan on at least one cell, with regret
         recorded per trial (negative = beats the default)."""
-        cell = TuneCell(
-            app="uts", scheduler="Lifeline",
-            spec=ClusterSpec(n_places=4, workers_per_place=2,
-                             max_threads=6),
-            scale="test", sched_seeds=(1, 2))
+        cell = CellRequest.build(
+            "uts", "Lifeline",
+            ClusterSpec(n_places=4, workers_per_place=2, max_threads=6),
+            sched_seeds=(1, 2), scale="test")
         report, _ = _tune(GridSearch(), store_path,
                           knobs=["attempts_per_round"], cell=cell)
         best = report.cells[0].best

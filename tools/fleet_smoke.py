@@ -35,7 +35,7 @@ import time
 sys.path.insert(0, os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from repro.cluster.topology import ClusterSpec  # noqa: E402
+from repro.cluster.topology import paper_cluster  # noqa: E402
 from repro.harness.db import ExperimentStore, run_worker  # noqa: E402
 from repro.harness.parallel import ExecutionContext, RunSpec  # noqa: E402
 from repro.obs.fleet import (  # noqa: E402
@@ -49,9 +49,7 @@ from repro.obs.fleet import (  # noqa: E402
 
 
 def build_specs(args):
-    spec = ClusterSpec(n_places=args.places,
-                       workers_per_place=args.workers_per_place,
-                       max_threads=args.workers_per_place + 4)
+    spec = paper_cluster(args.places, args.workers_per_place)
     return [RunSpec.build(app, sched, spec, sched_seed=s,
                           scale=args.scale)
             for app in args.apps.split(",")

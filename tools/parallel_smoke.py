@@ -32,7 +32,7 @@ import time
 sys.path.insert(0, os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from repro.cluster.topology import ClusterSpec  # noqa: E402
+from repro.cluster.topology import paper_cluster  # noqa: E402
 from repro.harness.db import ExperimentStore  # noqa: E402
 from repro.harness.parallel import (  # noqa: E402
     CellRequest,
@@ -41,9 +41,7 @@ from repro.harness.parallel import (  # noqa: E402
 
 
 def build_grid(args):
-    spec = ClusterSpec(n_places=args.places,
-                       workers_per_place=args.workers,
-                       max_threads=args.workers + 4)
+    spec = paper_cluster(args.places, args.workers)
     seeds = tuple(range(1, args.seeds + 1))
     return [CellRequest.build(app, sched, spec, sched_seeds=seeds,
                               scale=args.scale)

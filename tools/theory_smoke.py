@@ -35,8 +35,8 @@ sys.path.insert(0, os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 from repro.analysis.theory import run_theory_sweep  # noqa: E402
-from repro.cluster.topology import ClusterSpec  # noqa: E402
-from repro.harness.parallel import execution  # noqa: E402
+from repro.cluster.topology import paper_cluster  # noqa: E402
+from repro.harness.parallel import CellRequest, execution  # noqa: E402
 
 #: Tolerance for the monotonicity check: simulated makespans are seed
 #: averages, so allow a hair of non-monotone jitter between λ points.
@@ -55,19 +55,17 @@ def main() -> int:
                     default=[1_000.0, 4_000.0, 16_000.0])
     args = ap.parse_args()
 
-    spec = ClusterSpec(n_places=args.places,
-                       workers_per_place=args.workers,
-                       max_threads=args.workers + 4)
+    spec = paper_cluster(args.places, args.workers)
+    cells = [CellRequest.build(args.app, sched, spec,
+                               sched_seeds=range(1, args.seeds + 1),
+                               scale="test")
+             for sched in args.schedulers]
     failures = []
 
     with tempfile.TemporaryDirectory() as tmp:
         store_path = os.path.join(tmp, "theory.sqlite3")
         with execution(store_path=store_path) as ctx:
-            report = run_theory_sweep(
-                apps=(args.app,), schedulers=tuple(args.schedulers),
-                spec=spec, lambdas=tuple(args.lambdas),
-                sched_seeds=tuple(range(1, args.seeds + 1)),
-                scale="test")
+            report = run_theory_sweep(cells, tuple(args.lambdas))
         expected_rows = (len(args.schedulers) * len(args.lambdas)
                          * args.seeds)
         print(f"store drained: {ctx.simulations} simulations, "

@@ -31,18 +31,15 @@ import tempfile
 sys.path.insert(0, os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from repro.cluster.topology import ClusterSpec  # noqa: E402
-from repro.harness.parallel import execution  # noqa: E402
-from repro.tune import GridSearch, TuneCell, tune  # noqa: E402
+from repro.cluster.topology import paper_cluster  # noqa: E402
+from repro.harness.parallel import CellRequest, execution  # noqa: E402
+from repro.tune import GridSearch, tune  # noqa: E402
 
 
 def run_search(args, store_path):
-    cell = TuneCell(
-        app=args.app, scheduler=args.scheduler,
-        spec=ClusterSpec(n_places=args.places,
-                         workers_per_place=args.workers,
-                         max_threads=args.workers + 4),
-        scale=args.scale, sched_seeds=tuple(range(1, args.seeds + 1)))
+    cell = CellRequest.build(
+        args.app, args.scheduler, paper_cluster(args.places, args.workers),
+        sched_seeds=range(1, args.seeds + 1), scale=args.scale)
     engine = GridSearch(budget=args.budget)
     with execution(parallel=args.parallel, store_path=store_path) as ctx:
         report = tune([cell], engine,
