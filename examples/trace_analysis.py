@@ -44,13 +44,13 @@ def main(app_name: str = "dmg", sched_name: str = "DistWS",
     os.makedirs(out_dir, exist_ok=True)
     trace_path = os.path.join(out_dir, "trace_analysis.trace.json")
 
-    # One bus, three subscribers: the trace recorder, a metrics registry,
-    # and a Chrome trace-event exporter.  Attach before the run.
+    # One bus, three subscribers: a metrics registry, a Chrome
+    # trace-event exporter and the trace recorder.  Attach before the run.
     bus = EventBus(sample_interval=100_000)
     metrics = bus.subscribe(MetricsRegistry())
     bus.subscribe(ChromeTraceSink(trace_path))
+    recorder = bus.subscribe(TraceRecorder())
     bus.attach(rt)
-    recorder = TraceRecorder(rt)  # joins the existing bus
 
     app = make_app(app_name, scale="test", seed=5)
     stats = app.run(rt)

@@ -5,8 +5,8 @@ Subcommands:
 - ``run`` — one (application, scheduler, cluster) simulation with a
   metrics summary; optionally faulted (``--faults``), knobbed
   (``--sched-arg``/``--controller``), observed (metric histograms,
-  Chrome trace, JSONL event stream, snapshot) and traced (critical
-  path, timeline, steal flow);
+  Chrome trace, JSONL event stream, snapshot), traced (critical path,
+  timeline, steal flow) and memoised (``--store``);
 - ``diff-stats`` — compare two saved snapshots, optionally failing on
   regression;
 - ``reproduce`` — regenerate paper artifacts (tables/figures) by name;
@@ -36,8 +36,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro import SCHEDULERS, SimRuntime, make_scheduler
-from repro.apps import APP_REGISTRY, make_app
+from repro import SCHEDULERS
+from repro.apps import APP_REGISTRY
 from repro.cluster.topology import paper_cluster
 from repro.harness import EXPERIMENTS
 from repro.harness.tables import render_table
@@ -65,14 +65,11 @@ def _resolve_fault_plan(args, spec, knobs):
     """Parse ``--faults`` and resolve fractional times against a horizon.
 
     Fractional fault times (``crash:p2@0.4``) are relative to the
-    fault-free makespan of the same (app, scheduler, knobs, cluster,
-    seeds) configuration, so a calibration run is performed first when
-    needed.  ``knobs`` are the parsed ``--sched-arg`` values; an online
-    ``--controller`` is not part of the calibration, because a
-    controller object cannot ride in a ``RunSpec``.  The calibration
-    goes through the harness, so with ``--store`` a repeated chaos
-    experiment reuses the stored fault-free run instead of
-    re-simulating it.
+    fault-free makespan of the same app, scheduler, ``--sched-arg``
+    ``knobs``, cluster and seeds, calibrated first through the harness
+    (``--store`` keeps it).  A ``--controller`` is left out, so one
+    ``--faults`` spec strikes at the same cycles with and without a
+    controller, and both runs share the stored calibration.
     """
     from repro.faults import FaultPlan
     from repro.harness import RunSpec, current_context
@@ -102,27 +99,31 @@ def _fault_rows(faults) -> list:
     return rows
 
 
-def _observe(args, rt):
-    """Attach the bus the observer flags ask for; its metrics registry.
+def _observers(args):
+    """``(bus, metrics registry, trace recorder)`` for the observer and
+    trace flags, ``(None, None, None)`` for a bare run.
 
     Any of ``--chrome-trace``, ``--events``, ``--snapshot`` and
-    ``--sample-interval`` attaches one bus with a metrics registry;
-    without them the run is bare and this returns ``None``.
+    ``--sample-interval`` puts a metrics registry and the file sinks on
+    a sampling bus; ``--trace-json`` subscribes the recorder last.
     """
-    if not (args.chrome_trace or args.events or args.snapshot
-            or args.sample_interval is not None):
-        return None
+    observed = (args.chrome_trace or args.events or args.snapshot
+                or args.sample_interval is not None)
+    if not (observed or args.trace_json):
+        return None, None, None
+    from repro.analysis import TraceRecorder
     from repro.obs import ChromeTraceSink, EventBus, JsonlSink, MetricsRegistry
 
     interval = args.sample_interval
-    bus = EventBus(sample_interval=100_000 if interval is None else interval)
-    metrics = bus.subscribe(MetricsRegistry())
+    bus = EventBus(sample_interval=100_000 if observed and interval is None
+                   else interval)
+    metrics = bus.subscribe(MetricsRegistry()) if observed else None
     if args.chrome_trace:
         bus.subscribe(ChromeTraceSink(args.chrome_trace))
     if args.events:
         bus.subscribe(JsonlSink(path=args.events))
-    bus.attach(rt)
-    return metrics
+    recorder = bus.subscribe(TraceRecorder()) if args.trace_json else None
+    return bus, metrics, recorder
 
 
 def _print_trace(args, recorder) -> None:
@@ -147,32 +148,35 @@ def _print_trace(args, recorder) -> None:
 
 
 def _cmd_run(args) -> int:
+    """One ``RunSpec`` from the flags, through ``simulate``: a bare run
+    via the execution context (``--store`` keeps it), else with a bus."""
     import json
 
-    from repro.harness import execution
-    from repro.tune import make_controller, parse_sched_args
+    from repro.harness import RunSpec, current_context, execution
+    from repro.harness.parallel import simulate
+    from repro.tune import knob_table, make_controller, parse_sched_args
 
     args.scheduler = resolve_scheduler(args.scheduler)
     spec = paper_cluster(args.places, args.workers)
     knobs = parse_sched_args(args.scheduler, args.sched_arg) or {}
     sched_kwargs = dict(knobs)
     if args.controller:
-        sched_kwargs["controller"] = make_controller(args.controller)
-    with execution(store_path=args.store):
+        # Rejected here, not quarantined as a failed row of the store.
+        make_controller(args.controller).check_host(
+            args.scheduler, knob_table(args.scheduler))
+        sched_kwargs["controller"] = args.controller
+    with execution(store_path=args.store) as ctx:
         plan = (_resolve_fault_plan(args, spec, knobs) if args.faults
                 else None)
-    app = make_app(args.app, scale=args.scale, seed=args.seed)
-    sched = make_scheduler(args.scheduler, **sched_kwargs)
-    rt = SimRuntime(spec, sched, seed=args.sched_seed)
-    if plan is not None:
-        from repro.faults import FaultInjector
-        FaultInjector(plan).attach(rt)
-    metrics = _observe(args, rt)
-    recorder = None
-    if args.trace_json:
-        from repro.analysis import TraceRecorder
-        recorder = TraceRecorder(rt)  # joins the observers' bus, if any
-    stats = app.run(rt, validate=not args.no_validate)
+        bus, metrics, recorder = _observers(args)
+        run = RunSpec.build(
+            args.app, args.scheduler, spec, app_seed=args.seed,
+            sched_seed=args.sched_seed, scale=args.scale,
+            validate=not args.no_validate, sched_kwargs=sched_kwargs,
+            fault_plan=plan)
+        result = (ctx.run_specs([run])[0] if bus is None
+                  else simulate(run, bus=bus))
+    stats = result.stats
     rows = [[k, v] for k, v in stats.summary().items()]
     print(render_table(["metric", "value"], rows,
                        title=f"{args.app} under {args.scheduler} on "
@@ -182,12 +186,11 @@ def _cmd_run(args) -> int:
         print(render_table(["fault metric", "value"],
                            _fault_rows(stats.faults),
                            title="fault injection"))
-    if args.controller:
+    if stats.controller is not None:
         print()
-        snap = sched.controller.snapshot()
         print(render_table(
             ["controller state", "value"],
-            [[k, json.dumps(snap[k])] for k in sorted(snap)],
+            [[k, json.dumps(v)] for k, v in sorted(stats.controller.items())],
             title=f"online controller ({args.controller})"))
     if metrics is not None:
         print()
@@ -763,7 +766,10 @@ def _cell_flags(p, *, app=None, scheduler=None, places=None, workers=None,
                             "the knobs it has")
 
 
-def _exec_flags(p, *, parallel=True, store_required=False) -> None:
+def _exec_flags(p, *, parallel=True, store_required=False,
+                store_help="finished cells replay instead of re-simulating;"
+                " crash-resumable, drainable by `repro workers` on this "
+                "host") -> None:
     """Declare the execution flags: a worker budget and a store."""
     if parallel:
         p.add_argument("--parallel", type=_positive_int, default=1,
@@ -771,10 +777,8 @@ def _exec_flags(p, *, parallel=True, store_required=False) -> None:
                        help="shard the cells over N processes (results "
                             "identical to serial)")
     p.add_argument("--store", required=store_required, metavar="PATH",
-                   help="experiment store (SQLite job queue): finished "
-                        "cells replay instead of re-simulating; "
-                        "crash-resumable, drainable by `repro workers` "
-                        "on this host")
+                   help="experiment store (SQLite job queue): "
+                        + store_help)
 
 
 def main(argv=None) -> int:
@@ -788,7 +792,9 @@ def main(argv=None) -> int:
     runp = sub.add_parser("run", help="run one simulation")
     _cell_flags(runp, app="turing", scheduler="DistWS", places=16,
                 workers=8, seed=True, scale="bench", sched_arg=True)
-    _exec_flags(runp, parallel=False)  # --store: the --faults calibration
+    _exec_flags(runp, parallel=False, store_help="a bare run and its "
+                "--faults calibration replay instead of re-simulating; an "
+                "observed or traced run stores only the calibration")
     runp.add_argument("--sched-seed", type=int, default=1)
     runp.add_argument("--no-validate", action="store_true")
     runp.add_argument("--faults", metavar="SPEC",

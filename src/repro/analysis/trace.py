@@ -1,16 +1,12 @@
 """Execution trace recording.
 
-A :class:`TraceRecorder` attaches to a :class:`~repro.runtime.runtime.
-SimRuntime` *before* the run and collects one record per task — spawn
-time, queue time, execution window, worker, home vs executing place, and
-the spawn edge to its parent.  The analysis tools (timeline rendering,
-critical-path extraction, per-place load profiles) consume these traces.
-
-The recorder is one subscriber on the :mod:`repro.obs` event bus: it
-listens to ``task_spawn`` / ``task_end`` events rather than wrapping
-runtime hooks.  If the runtime already has a bus attached the recorder
-joins it; otherwise it creates a private one.  Either way it never
-changes scheduling behaviour — events consume no simulated time.
+A :class:`TraceRecorder` is one sink on the :mod:`repro.obs` event bus:
+from ``task_spawn`` / ``task_end`` events it collects one record per
+task — spawn time, queue time, execution window, worker, home vs
+executing place, and the spawn edge to its parent.  The analysis tools
+(timeline rendering, critical-path extraction, per-place load profiles)
+consume these traces.  Events consume no simulated time, so recording
+never changes scheduling behaviour.
 """
 
 from __future__ import annotations
@@ -19,13 +15,13 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.errors import ConfigError
-from repro.obs.bus import EventBus
 from repro.obs.events import ObsEvent
 from repro.obs.sinks import Sink
-from repro.runtime.runtime import SimRuntime
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.stats import FaultEvent
+    from repro.obs.bus import EventBus
+    from repro.runtime.runtime import SimRuntime
 
 
 @dataclass
@@ -90,31 +86,23 @@ class Trace:
 
 
 class TraceRecorder(Sink):
-    """Attach to a runtime to capture its execution trace.
+    """Record one run's execution trace as a sink on its event bus.
 
-    Subscribes to the runtime's event bus (creating one when the runtime
-    has none).  The public surface is unchanged from the hook-wrapping
-    implementation it replaced: construct before :meth:`SimRuntime.run`,
-    call :meth:`finalize` after.
+    Subscribe it before :meth:`EventBus.attach` (the bus rejects a
+    started runtime) and call :meth:`finalize` after the run.
     """
 
     consumes = frozenset(("task_spawn", "task_end"))
 
-    def __init__(self, runtime: SimRuntime) -> None:
-        if runtime._started:
-            raise ConfigError("attach the recorder before running")
-        self.runtime = runtime
-        self.trace = Trace(n_places=runtime.spec.n_places,
-                           workers_per_place=runtime.spec.workers_per_place,
-                           cycles_per_ms=runtime.costs.cycles_per_ms)
+    def __init__(self) -> None:
         self._spawn_times: Dict[int, float] = {}
         self._parents: Dict[int, Optional[int]] = {}
-        if runtime.obs is not None:
-            runtime.obs.subscribe(self)
-        else:
-            bus = EventBus()
-            bus.subscribe(self)
-            bus.attach(runtime)
+
+    def open(self, bus: "EventBus", rt: "SimRuntime") -> None:
+        self.runtime = rt
+        self.trace = Trace(n_places=rt.spec.n_places,
+                           workers_per_place=rt.spec.workers_per_place,
+                           cycles_per_ms=rt.costs.cycles_per_ms)
 
     def on_event(self, ev: ObsEvent) -> None:
         if ev.kind == "task_spawn":

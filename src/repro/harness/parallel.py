@@ -5,8 +5,9 @@ cluster, seed) cell is one independent, deterministic simulation.  This
 module runs that grid through the :mod:`repro.harness.db` experiment
 store — the one backend that memoises cells and spreads them over
 helper processes — so ``examples/reproduce_paper.py`` scales with the
-host's cores and repeated runs against the same store (including the
-``--faults`` calibration pre-runs) skip simulation entirely.
+host's cores and repeated runs against the same store (``repro run``
+and its ``--faults`` calibration included) skip simulation entirely.
+:func:`simulate` is the package's one builder of an app + runtime.
 
 Two layers:
 
@@ -137,14 +138,15 @@ class RunSpec:
 def simulate(spec: RunSpec, bus=None):
     """Execute one :class:`RunSpec` in this process.
 
-    The inline path and every store worker (coordinator or helper) call
-    this; it builds a fresh app + scheduler + runtime, so runs are
-    independent whichever process hosts them.
+    The one builder: the inline path, every store worker (coordinator
+    or helper) and ``repro run`` call this; it builds a fresh app +
+    scheduler + runtime, so runs are independent whichever process
+    hosts them.
 
     ``bus`` (an :class:`repro.obs.EventBus`, optional) attaches before
-    the run so fleet workers can observe without touching this hot path
-    for everyone else — with no bus the run is byte-identical to PR-2's
-    no-sink contract.
+    the run, so fleet workers and ``repro run`` observe without touching
+    this hot path for everyone else; with no bus the run is
+    byte-identical to an unobserved one.
     """
     import time
 

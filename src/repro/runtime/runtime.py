@@ -214,6 +214,8 @@ class SimRuntime:
         st.messages_by_pair = net.by_pair.copy()
         if self.faults is not None:
             st.faults = self.faults.stats
+        if self.scheduler.controller is not None:
+            st.controller = self.scheduler.controller.snapshot()
         if self.obs is not None:
             # Summarize into the snapshot, then flush file-backed sinks
             # (JSONL, Chrome trace) so exports land without extra calls.

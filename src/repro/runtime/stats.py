@@ -72,6 +72,8 @@ class RunStats:
     #: Fault-injection observables; ``None`` unless an injector with a
     #: non-empty plan was attached (fault-free snapshots are unchanged).
     faults: Optional["FaultStats"] = None
+    #: The online controller's end-of-run ``snapshot()``, or ``None``.
+    controller: Optional[Dict[str, object]] = None
     #: Observability summary (event counts by kind, metrics histograms /
     #: sampled series); ``None`` unless an event bus with at least one
     #: sink was attached — unobserved snapshots are byte-identical.
@@ -137,9 +139,9 @@ class RunStats:
         Everything is JSON-serializable, and two identical runs produce
         byte-identical ``json.dumps(snapshot, sort_keys=True)`` output —
         the property the determinism and zero-overhead regression tests
-        assert.  The ``"faults"`` key appears only when fault injection
-        was active; the ``"obs"`` key only when an event bus with sinks
-        was attached.
+        assert.  The ``"faults"``, ``"controller"`` and ``"obs"`` keys
+        appear only when fault injection, an online controller or an
+        event bus with sinks was active.
         """
         snap: Dict[str, object] = {
             "places": self.n_places,
@@ -183,6 +185,8 @@ class RunStats:
         }
         if self.faults is not None:
             snap["faults"] = self.faults.snapshot()
+        if self.controller is not None:
+            snap["controller"] = self.controller
         if self.obs is not None:
             snap["obs"] = self.obs
         return snap

@@ -55,7 +55,11 @@ def resolve_scheduler(name: str) -> str:
 
 
 def make_scheduler(name: str, **kwargs) -> Scheduler:
-    """Instantiate a scheduler by (case-insensitive) registry name."""
+    """Instantiate a scheduler by (case-insensitive) registry name; a
+    ``controller`` may be a registry name too (``"aimd-chunk"``)."""
+    if isinstance(kwargs.get("controller"), str):
+        from repro.tune.controllers import make_controller  # import cycle
+        kwargs["controller"] = make_controller(kwargs["controller"])
     return SCHEDULERS[resolve_scheduler(name)](**kwargs)
 
 

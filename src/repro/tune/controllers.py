@@ -36,7 +36,7 @@ no-op when no bus is attached), so Chrome traces show every adjustment.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.obs.metrics import Histogram
@@ -46,6 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.runtime import SimRuntime
     from repro.runtime.worker import Worker
     from repro.sched.base import Scheduler
+    from repro.sched.knobs import Knob
 
 #: Pseudo place id for cluster-wide (non-per-place) knob updates.
 GLOBAL_PLACE = -1
@@ -59,7 +60,13 @@ class Controller:
     wall-clock, no unseeded randomness).
     """
 
+    @staticmethod
+    def check_host(scheduler: str, knobs: Tuple["Knob", ...]) -> None:
+        """ConfigError when a policy with ``knobs`` cannot host this
+        controller: ``repro run`` asks before a run, :meth:`bind` at one."""
+
     def bind(self, runtime: "SimRuntime", scheduler: "Scheduler") -> None:
+        self.check_host(scheduler.name, scheduler.knobs)
         self.rt = runtime
         self.sched = scheduler
 
@@ -115,11 +122,14 @@ class AIMDChunkController(Controller):
         self.adjustments: List[float] = []
         self._results = 0
 
-    def bind(self, runtime: "SimRuntime", scheduler: "Scheduler") -> None:
-        if REMOTE_CHUNK_SIZE not in scheduler.knobs:
+    @staticmethod
+    def check_host(scheduler: str, knobs: Tuple["Knob", ...]) -> None:
+        if REMOTE_CHUNK_SIZE not in knobs:
             raise ConfigError(
                 f"controller 'aimd-chunk' adjusts remote_chunk_size, which "
-                f"scheduler {scheduler.name!r} fixes (not one of its knobs)")
+                f"scheduler {scheduler!r} fixes (not one of its knobs)")
+
+    def bind(self, runtime: "SimRuntime", scheduler: "Scheduler") -> None:
         super().bind(runtime, scheduler)
         self.chunk = int(scheduler.remote_chunk_size)
         if self.target_latency_per_task is None:

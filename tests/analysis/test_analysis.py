@@ -17,12 +17,15 @@ from repro.analysis import (
 )
 from repro.apgas import Apgas
 from repro.errors import ConfigError
+from repro.obs import EventBus
 
 
 def traced_run(n_leaves=12, work=1_000_000, flexible=True):
     spec = ClusterSpec(n_places=2, workers_per_place=2, max_threads=4)
     rt = SimRuntime(spec, DistWS(), seed=1)
-    rec = TraceRecorder(rt)
+    bus = EventBus()
+    rec = bus.subscribe(TraceRecorder())
+    bus.attach(rt)
 
     def program(rt):
         ap = Apgas(rt)
@@ -52,8 +55,10 @@ class TestTraceRecorder:
             Apgas(rt).async_at(0, None, work=100, label="t")
 
         rt.run(program)
+        bus = EventBus()
+        bus.subscribe(TraceRecorder())
         with pytest.raises(ConfigError):
-            TraceRecorder(rt)
+            bus.attach(rt)
 
     def test_parent_edges(self):
         trace, _ = traced_run()

@@ -356,8 +356,8 @@ def _routed_run(metrics_cls, chrome_cls, recorder_cls, trace_path):
     bus = EventBus(sample_interval=50_000)
     metrics = bus.subscribe(metrics_cls())
     bus.subscribe(chrome_cls(str(trace_path)))
+    recorder = bus.subscribe(recorder_cls())
     bus.attach(rt)
-    recorder = recorder_cls(rt)
     make_app("uts", scale="test", seed=12345).run(rt)
     return (bus, metrics.snapshot(), trace_path.read_bytes(),
             recorder.finalize())

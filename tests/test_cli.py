@@ -295,14 +295,20 @@ class TestTuneCli:
 
     def test_faults_calibration_replays_from_store(self, capsys, tmp_path,
                                                    monkeypatch):
+        """``--store`` keeps the calibration and the faulted run itself:
+        a repeat simulates nothing and prints the same bytes."""
         import repro.harness.parallel as parallel_mod
+        from repro.harness.db import ExperimentStore
 
+        store = str(tmp_path / "cal.db")
         argv = ["run", "--app", "uts", "--scale", "test",
                 "--places", "2", "--workers", "2",
                 "--faults", "crash:p1@0.5,policy:relax",
-                "--store", str(tmp_path / "cal.db")]
+                "--store", store]
         assert main(argv) == 0
         cold = capsys.readouterr().out
+        with ExperimentStore(store) as s:
+            assert s.counts()["done"] == 2
         calls = []
         real = parallel_mod.simulate
 
@@ -313,9 +319,9 @@ class TestTuneCli:
         monkeypatch.setattr(parallel_mod, "simulate", counting)
         assert main(argv) == 0
         warm = capsys.readouterr().out
-        assert calls == [], "the stored calibration must not re-simulate"
-        line = [l for l in cold.splitlines() if "[calibration:" in l]
-        assert line and line[0] in warm
+        assert calls == [], "the stored runs must not re-simulate"
+        assert "[calibration:" in cold
+        assert warm == cold
 
     def test_run_accepts_sched_args(self, capsys):
         code = main(["run", "--app", "uts", "--scale", "test",
@@ -325,15 +331,30 @@ class TestTuneCli:
         assert code == 0
         assert "tasks_executed" in capsys.readouterr().out
 
-    def test_run_rejects_unknown_knob_without_traceback(self, capsys):
-        code = main(["run", "--app", "uts", "--scale", "test",
-                     "--places", "2", "--workers", "2",
-                     "--sched-arg", "bogus=1"])
-        assert code == 2
+    @staticmethod
+    def _rejected_run(capsys, tmp_path, store, *flags) -> str:
+        """Run ``repro run`` with ``flags``, expecting one ``error:``
+        line, exit 2 and, under ``--store``, no row in the store."""
+        from repro.harness.db import ExperimentStore
+
+        path = str(tmp_path / "run.db")
+        argv = ["run", "--app", "uts", "--scale", "test",
+                "--places", "2", "--workers", "2", *flags]
+        assert main(argv + (["--store", path] if store else [])) == 2
         err = capsys.readouterr().err
-        assert "error:" in err
-        assert "unknown knob 'bogus'" in err
         assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        if store:
+            with ExperimentStore(path) as s:
+                assert set(s.counts().values()) == {0}
+        return err
+
+    @pytest.mark.parametrize("store", [False, True], ids=["bare", "store"])
+    def test_run_rejects_unknown_knob_without_traceback(self, capsys,
+                                                        tmp_path, store):
+        err = self._rejected_run(capsys, tmp_path, store,
+                                 "--sched-arg", "bogus=1")
+        assert "unknown knob 'bogus'" in err
 
     def test_run_rejects_unparseable_value(self, capsys):
         code = main(["run", "--app", "uts", "--scale", "test",
@@ -351,12 +372,17 @@ class TestTuneCli:
         assert "online controller (aimd-chunk)" in out
         assert "chunk" in out
 
-    def test_run_rejects_unknown_controller(self, capsys):
-        code = main(["run", "--app", "uts", "--scale", "test",
-                     "--places", "2", "--workers", "2",
-                     "--controller", "pid"])
-        assert code == 2
-        assert "unknown controller" in capsys.readouterr().err
+    @pytest.mark.parametrize("store", [False, True], ids=["bare", "store"])
+    @pytest.mark.parametrize("flags, message", [
+        (("--controller", "pid"), "unknown controller 'pid'"),
+        (("--scheduler", "X10WS", "--controller", "aimd-chunk"),
+         "controller 'aimd-chunk' adjusts remote_chunk_size, which "
+         "scheduler 'X10WS' fixes (not one of its knobs)"),
+    ], ids=["pid", "aimd-on-X10WS"])
+    def test_run_rejects_unknown_controller(self, capsys, tmp_path, flags,
+                                            message, store):
+        err = self._rejected_run(capsys, tmp_path, store, *flags)
+        assert message in err
 
     def test_reproduce_rejects_unknown_sched_arg(self, capsys):
         code = main(["reproduce", "fig6", "--sched-arg", "bogus=1"])

@@ -20,6 +20,10 @@ methods are skipped; the interpreter calls them.
 one's docstring carries a ``Kept:`` line that says why.  A kept symbol
 that gains a caller, or is deleted, fails the test too, so the list
 cannot go stale.
+
+The same scan guards the one builder of a run: under ``src/repro`` only
+``harness.parallel.simulate`` calls ``SimRuntime``, ``make_app`` and
+``make_scheduler``.
 """
 
 from __future__ import annotations
@@ -151,3 +155,44 @@ def test_kept_symbols_say_why_in_their_docstring(scan):
         and not any(line.strip().startswith("Kept:") for line in
                     (ast.get_docstring(defs[key]) or "").splitlines()))
     assert not silent, f"KEPT symbols without a 'Kept:' reason: {silent}"
+
+
+#: The one function in ``src/`` that builds an app, a scheduler and a
+#: runtime, and the calls that build them.
+BUILDER = "repro/harness/parallel.py::simulate"
+BUILDS = frozenset({"SimRuntime", "make_app", "make_scheduler"})
+
+
+def _build_calls() -> List[Tuple[str, str, int]]:
+    """``(path::qualname, callee, line)`` of every build call in src."""
+    calls: List[Tuple[str, str, int]] = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, f"{where}.{child.name}" if "::" in where
+                      else f"{where}::{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = (func.id if isinstance(func, ast.Name)
+                        else getattr(func, "attr", None))
+                if name in BUILDS:
+                    calls.append((where, name, child.lineno))
+            visit(child, where)
+
+    for file in sorted(SRC.rglob("*.py")):
+        rel = file.relative_to(SRC).as_posix()
+        visit(ast.parse(file.read_text(), rel), rel)
+    return calls
+
+
+def test_only_simulate_builds_an_app_scheduler_and_runtime():
+    """``harness.parallel.simulate`` is the one builder of a run, so
+    the store, the fleet workers and the CLI all run the same code."""
+    calls = _build_calls()
+    stray = sorted(call for call in calls if call[0] != BUILDER)
+    assert not stray, (
+        f"build a run through {BUILDER} (a RunSpec), not here: {stray}")
+    assert {name for where, name, _ in calls if where == BUILDER} == BUILDS

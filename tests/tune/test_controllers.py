@@ -213,6 +213,9 @@ class TestFactory:
                           AIMDChunkController)
         assert isinstance(make_controller("idle-threshold"),
                           IdleThresholdController)
+        # A RunSpec carries the controller by name; make_scheduler makes it.
+        assert isinstance(make_scheduler(
+            "DistWS", controller="aimd-chunk").controller, AIMDChunkController)
 
     def test_unknown_name_is_configerror(self):
         with pytest.raises(ConfigError, match="unknown controller"):
@@ -278,3 +281,4 @@ class TestFullRunAdaptation:
         assert ctrl.latency_per_task.count > 0
         assert 0.0 <= ctrl.success_rate <= 1.0
         assert stats.tasks_executed > 0
+        assert stats.snapshot()["controller"] == ctrl.snapshot()
